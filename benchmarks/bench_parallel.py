@@ -19,7 +19,12 @@ Interpretation notes:
   auto-chunk count — the coarse-shard story ``BENCH_hier.json`` tells in
   full,
 * results are asserted bit-identical across all strategies before any
-  timing is reported — a fast wrong build must never enter the record.
+  timing is reported — a fast wrong build must never enter the record,
+* every row records ``dispatch``: ``pool`` when the build reached the
+  worker pool, ``serial`` when it ran in-process (below
+  ``POOL_BREAK_EVEN_WORK``, counter ``parallel.dispatch.below_break_even``)
+  or was a serial or cached build; a ``process-N`` row labelled
+  ``serial`` is not a pool speedup.
 
 Exit status: on a multi-core host (``cpu_count >= 2``) the run **fails**
 (exit 1) if the block-sharded process backend loses to serial on the
@@ -40,6 +45,7 @@ import time
 
 import numpy as np
 
+from repro import obs
 from repro.atpg import generate_path_tests
 from repro.circuits import load_benchmark
 from repro.core import (
@@ -133,8 +139,20 @@ def bench_circuit(name: str, n_samples: int, n_paths: int, repeats: int):
                 base_simulations=sims, **kwargs,
             )
             best = min(best, time.perf_counter() - started)
+        # One more, untimed build under a recorder says where the timed
+        # ones ran: in the pool, or in-process below break-even.
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            build_dictionary(
+                timing, patterns, clk, suspects, sizes,
+                base_simulations=sims, **kwargs,
+            )
+        pooled = backend == "process" and not recorder.counter_value(
+            "parallel.dispatch.below_break_even"
+        )
         runs.append(
             dict(base, strategy=label, backend=backend, workers=workers,
+                 dispatch="pool" if pooled else "serial",
                  seconds=round(best, 6))
         )
         return result
@@ -193,8 +211,9 @@ def main(argv=None) -> int:
         runs.extend(circuit_runs)
         for run in circuit_runs:
             print(
-                f"  {run['strategy']:>10s}: {run['seconds']*1e3:9.1f} ms  "
-                f"(x{run['speedup']:.2f}, suspects={run['n_suspects']})"
+                f"  {run['strategy']:>14s}: {run['seconds']*1e3:9.1f} ms  "
+                f"(x{run['speedup']:.2f}, suspects={run['n_suspects']}, "
+                f"dispatch={run['dispatch']})"
             )
 
     report = {

@@ -3,6 +3,7 @@
 from .suspects import trace_sensitized_edges, suspect_edges
 from .parallel import (
     MIN_CHUNK_WORK,
+    POOL_BREAK_EVEN_WORK,
     ParallelConfig,
     resolve_parallel,
     chunk_indices,
@@ -72,6 +73,7 @@ __all__ = [
     "trace_sensitized_edges",
     "suspect_edges",
     "MIN_CHUNK_WORK",
+    "POOL_BREAK_EVEN_WORK",
     "ParallelConfig",
     "resolve_parallel",
     "chunk_indices",

@@ -53,8 +53,8 @@ from ..circuits.netlist import Circuit, Edge
 from ..timing.critical import simulate_pattern_set
 from ..timing.dynamic import (
     TransitionSimResult,
+    replay_sink,
     replay_sizes,
-    resimulate_with_extra,
 )
 from ..timing.instance import CircuitTiming
 from ..atpg.patterns import PatternPairSet
@@ -235,9 +235,16 @@ def _sink_plan(
 def _signatures_for_chunk(
     job: _SignatureJob, indices: Sequence[int]
 ) -> List[np.ndarray]:
-    """Signature matrices for one chunk of suspect indices (worker body)."""
+    """Signature matrices for one chunk of suspect indices (worker body).
+
+    The chunk's suspects are grouped by sink: every suspect on a sink
+    shares the sink's cone and activity plan, so each (sink, active
+    pattern column) is one :func:`~repro.timing.dynamic.replay_sink` call
+    over all of them, and their error rows come from one vectorized
+    comparison per clock.
+    """
     n_patterns = len(job.base_simulations)
-    results: List[np.ndarray] = []
+    results: List[Optional[np.ndarray]] = [None] * len(indices)
     shared_zero: Optional[np.ndarray] = None
     # Live suspects draw their signature matrices from block allocations:
     # one lazily-zeroed arena covers many suspects, so the per-suspect
@@ -245,10 +252,11 @@ def _signatures_for_chunk(
     # cells are mostly never written.
     arena: Optional[np.ndarray] = None
     arena_used = 0
-    for index in indices:
-        edge = job.suspects[index]
-        edge_index = job.edge_indices[index]
-        cone, activity = job.plan_by_sink[edge.sink]
+    by_sink: Dict[str, List[int]] = {}
+    for slot, index in enumerate(indices):
+        by_sink.setdefault(job.suspects[index].sink, []).append(slot)
+    for sink, slots in by_sink.items():
+        cone, activity = job.plan_by_sink[sink]
         if not activity:
             # No pattern toggles this sink: the signature is identically
             # zero.  All such suspects in a chunk share one read-only
@@ -257,30 +265,31 @@ def _signatures_for_chunk(
             if shared_zero is None:
                 shared_zero = np.zeros(job.m_crt.shape, dtype=job.m_crt.dtype)
                 shared_zero.setflags(write=False)
-            results.append(shared_zero)
+            for slot in slots:
+                results[slot] = shared_zero
             continue
-        if arena is None or arena_used == len(arena):
-            arena = np.zeros((64,) + job.m_crt.shape, dtype=job.m_crt.dtype)
-            arena_used = 0
-        signature = arena[arena_used]
-        arena_used += 1
+        signatures = []
+        for slot in slots:
+            if arena is None or arena_used == len(arena):
+                arena = np.zeros((64,) + job.m_crt.shape, dtype=job.m_crt.dtype)
+                arena_used = 0
+            signatures.append(arena[arena_used])
+            results[slot] = arena[arena_used]
+            arena_used += 1
+        edge_indices = [job.edge_indices[indices[slot]] for slot in slots]
         for column, rows, nets in activity:
-            patched = resimulate_with_extra(
+            stacked = replay_sink(
                 job.base_simulations[column],
-                {edge_index: job.size_samples},
-                affected=cone,
+                edge_indices,
+                job.size_samples,
+                cone,
+                nets,
             )
-            stable = patched.stable
-            take = getattr(stable, "take_rows", None)
-            if take is not None:
-                stacked = take(nets)
-            else:
-                stacked = np.stack([stable[net] for net in nets])
             for block, clk in enumerate(job.clks):
                 col = block * n_patterns + column
-                errs = (stacked > clk).mean(axis=1)
-                signature[rows, col] = errs - job.m_crt[rows, col]
-        results.append(signature)
+                errs = (stacked > clk).mean(axis=2) - job.m_crt[rows, col]
+                for signature, row_errs in zip(signatures, errs):
+                    signature[rows, col] = row_errs
     return results
 
 

@@ -19,6 +19,14 @@ are reassembled in item order, so any reduction downstream sees exactly
 the serial ordering: a parallel build is bit-identical to a serial one by
 construction, never "close enough modulo float reduction order".
 
+Dispatch is **work-aware**: a fresh pool per call costs tens of
+milliseconds, more than a small map takes serially.  A call that declares
+its per-item cost (``work_per_item``) and leaves chunking to the executor
+runs in-process when its total work is below
+:data:`POOL_BREAK_EVEN_WORK` (counter ``parallel.dispatch.below_break_even``).
+Calls with an explicit ``chunk_size``, explicit ``chunks`` or no cost
+hint always reach the configured backend.
+
 Execution is **fault-tolerant** (see :mod:`repro.resilience` and
 ``docs/architecture.md`` §11).  A :class:`~repro.resilience.RetryPolicy`
 governs how failing chunks are handled:
@@ -63,6 +71,7 @@ from ..resilience.policy import RetryPolicy, resolve_retry
 __all__ = [
     "BACKENDS",
     "MIN_CHUNK_WORK",
+    "POOL_BREAK_EVEN_WORK",
     "ParallelConfig",
     "resolve_parallel",
     "chunk_indices",
@@ -152,6 +161,29 @@ def resolve_parallel(
 #: per-suspect work precisely because count-based chunking produced many
 #: tiny tasks; work-aware sizing merges those into fewer, larger chunks.
 MIN_CHUNK_WORK = 32_768
+
+
+#: Total work units (items × ``work_per_item``) below which a hinted,
+#: auto-chunked :func:`map_chunked` call stays in-process: creating a
+#: ``ProcessPoolExecutor``, shipping it the payload and tearing it down
+#: costs more than the whole map.  Measured with per-sink batched replay
+#: in place (a faster serial path moves break-even up): dictionary builds
+#: over growing suspect sets, 20 patterns × 300 samples per suspect, best
+#: of 5, serial time over ``process`` time at 2 workers with the same
+#: auto chunks, on a 2-CPU host:
+#:
+#: ==========  =====  =====  =====  =====  =====  =====  =====
+#: work units   90k   180k   360k   720k   1.08M  1.44M  1.80M
+#: ==========  =====  =====  =====  =====  =====  =====  =====
+#: s5378       x0.67  x0.59  x0.81  x0.87  x0.99  x1.02  x1.32
+#: s1196       x0.66  x1.10  x0.87  x1.70  x1.22  x1.16  x1.39
+#: ==========  =====  =====  =====  =====  =====  =====  =====
+#:
+#: The ratio crosses 1 between about 0.7M and 1.4M units; repeat runs
+#: move single cells by ±0.1 to ±0.3.  A cold per-chip diagnosis build
+#: (14–34 suspects × 20 patterns × 300 samples, 84k–204k units) sits
+#: well below it.
+POOL_BREAK_EVEN_WORK = 1_000_000
 
 
 def chunk_indices(
@@ -471,8 +503,10 @@ def map_chunked(
     parallel runs reproduce serial runs exactly.
 
     ``work_per_item`` is an optional cost hint (work units per index)
-    that lets auto-chunking respect :data:`MIN_CHUNK_WORK`; it never
-    changes results, only how indices group into tasks.
+    that lets auto-chunking respect :data:`MIN_CHUNK_WORK` and keeps a
+    map whose total work is below :data:`POOL_BREAK_EVEN_WORK` in-process
+    (unless ``chunk_size`` or ``chunks`` is explicit); it never changes
+    results, only how indices group into tasks and where they run.
 
     ``chunks`` hands the sharding to the caller entirely: an explicit
     list of index groups (hierarchical builds pass block-grouped suspect
@@ -511,12 +545,20 @@ def map_chunked(
     attempts: List[int] = [0] * len(chunks)
     all_indices = list(range(len(chunks)))
 
-    if config.is_serial or len(chunks) == 1:
+    below_break_even = (
+        not explicit
+        and config.chunk_size is None
+        and work_per_item is not None
+        and n_items * work_per_item < POOL_BREAK_EVEN_WORK
+    )
+    if config.is_serial or below_break_even:
         with recorder.span("parallel.map"):
             _run_serial_rung(
                 fn, payload, chunks, all_indices, results, attempts,
                 policy, recorder,
             )
+        if not config.is_serial:
+            recorder.count("parallel.dispatch.below_break_even")
         recorder.count("parallel.serial.chunks", len(chunks))
         recorder.count("parallel.serial.items", n_items)
         return _flatten(results, recorder, chunks if explicit else None, n_items)

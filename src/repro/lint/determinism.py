@@ -107,9 +107,11 @@ _FLAT_KERNEL_NAMES = {
     "simulate_transition",
     "resimulate_with_extra",
     "replay_sizes",
+    "replay_sink",
     "simulate_transition_compiled",
     "resimulate_with_extra_compiled",
     "replay_sizes_compiled",
+    "replay_sink_compiled",
     "simulate_transition_reference",
     "resimulate_with_extra_reference",
 }

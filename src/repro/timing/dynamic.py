@@ -63,6 +63,7 @@ __all__ = [
     "resimulate_with_extra",
     "resimulate_with_extra_reference",
     "replay_sizes",
+    "replay_sink",
     "edge_offsets",
     "active_kernel",
     "KERNEL_ENV",
@@ -365,6 +366,42 @@ def replay_sizes(
     nets = list(nets)
     out = np.empty((len(size_vectors), len(nets), base.width))
     for index, sizes in enumerate(size_vectors):
+        patched = resimulate_with_extra(
+            base, {int(edge_index): sizes}, affected=affected
+        )
+        stable = patched.stable
+        take = getattr(stable, "take_rows", None)
+        if take is not None:
+            out[index] = take(nets)
+        else:
+            out[index] = np.stack([stable[net] for net in nets])
+    return out
+
+
+def replay_sink(
+    base: TransitionSimResult,
+    edge_indices: Sequence[int],
+    sizes: np.ndarray,
+    affected: Iterable[str],
+    nets: Sequence[str],
+) -> np.ndarray:
+    """:func:`resimulate_with_extra` for every suspect edge on one sink.
+
+    Returns the ``(len(edge_indices), len(nets), width)`` settle rows of
+    ``nets`` after adding ``sizes`` to each edge in turn — the dictionary
+    builder replays every suspect on a sink against the same pattern and
+    cone.  The compiled kernel runs the cone once over all suspects side
+    by side and skips suspects whose edge is not a candidate pin;
+    otherwise this loops over :func:`resimulate_with_extra`.
+    Bit-identical either way.
+    """
+    if base.kernel_state is not None and active_kernel() == "compiled":
+        from .kernel import replay_sink_compiled
+
+        return replay_sink_compiled(base, edge_indices, sizes, affected, nets)
+    nets = list(nets)
+    out = np.empty((len(edge_indices), len(nets), base.width))
+    for index, edge_index in enumerate(edge_indices):
         patched = resimulate_with_extra(
             base, {int(edge_index): sizes}, affected=affected
         )

@@ -30,6 +30,10 @@ one pattern, so the replayed slice is tiny compared to the circuit.  Cone
 restrictions are cached per schedule, keyed by the identity of the
 (read-only, memoized) cone list the dictionary builder passes, so the
 steady-state replay does no set building and no per-edge scans at all.
+Per-sink batched replay (:func:`replay_sink_compiled`) runs one cone for
+every suspect edge on a shared sink at once, side by side in the sample
+axis, and skips suspects whose edge is not a candidate pin of the
+pattern's schedule.
 
 Bit-identity with the reference kernel is a hard contract
 (``tests/test_kernel.py``): min/max reductions are exact selections, and
@@ -43,7 +47,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from collections.abc import Mapping
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +65,7 @@ __all__ = [
     "compile_circuit",
     "simulate_transition_compiled",
     "resimulate_with_extra_compiled",
+    "replay_sink_compiled",
     "SCHEDULE_CACHE_ENV",
     "CONE_CACHE_ENV",
 ]
@@ -671,6 +676,37 @@ def simulate_transition_compiled(
     )
 
 
+def _run_cone_steps(
+    cone: _ConeSchedule,
+    rows: np.ndarray,
+    dl: np.ndarray,
+    overlay: np.ndarray,
+) -> None:
+    """Evaluate a cone schedule's level steps into ``overlay`` in place.
+
+    ``rows`` holds ``stable[source] + delay`` for every cone edge (it is
+    clobbered) and ``dl`` the matching delays.  Rows whose driver is
+    recomputed get re-summed from the overlay once that overlay row
+    exists (drivers sit at strictly lower levels, i.e. in earlier steps).
+    Every operation acts on one column at a time, so any number of
+    side-by-side replays can share one call (see
+    :func:`replay_sink_compiled`).
+    """
+    for (lo, hi, starts, inside_pos, inside_src, out_lo, out_hi,
+            neg_rows, neg_groups) in cone.steps:
+        if inside_pos is not None:
+            rows[inside_pos] = overlay[inside_src] + dl[inside_pos]
+        if neg_rows:
+            seg = rows[lo : lo + neg_rows]
+            np.negative(seg, out=seg)
+        np.maximum.reduceat(
+            rows[lo:hi], starts, axis=0, out=overlay[out_lo:out_hi]
+        )
+        if neg_groups:
+            seg = overlay[out_lo : out_lo + neg_groups]
+            np.negative(seg, out=seg)
+
+
 def resimulate_with_extra_compiled(
     base: TransitionSimResult,
     extra_delay: ExtraDelay,
@@ -723,25 +759,9 @@ def resimulate_with_extra_compiled(
                 pos = edge_pos.get(int(edge_index))
                 if pos is not None:
                     dl[pos] = dl[pos] + np.asarray(value)
-        # Candidate rows for the whole cone in one shot; rows whose driver
-        # is recomputed get re-summed from the overlay inside the step
-        # loop, once that overlay row exists (drivers sit at strictly
-        # lower levels, i.e. in earlier steps).
         rows = base_matrix[cone.sources]
         rows += dl
-        for (lo, hi, starts, inside_pos, inside_src, out_lo, out_hi,
-                neg_rows, neg_groups) in cone.steps:
-            if inside_pos is not None:
-                rows[inside_pos] = overlay[inside_src] + dl[inside_pos]
-            if neg_rows:
-                seg = rows[lo : lo + neg_rows]
-                np.negative(seg, out=seg)
-            np.maximum.reduceat(
-                rows[lo:hi], starts, axis=0, out=overlay[out_lo:out_hi]
-            )
-            if neg_groups:
-                seg = overlay[out_lo : out_lo + neg_groups]
-                np.negative(seg, out=seg)
+        _run_cone_steps(cone, rows, dl, overlay)
         if recorder.enabled:
             recorder.count("kernel.reductions", len(cone.edges))
 
@@ -831,24 +851,112 @@ def replay_cone_sizes_compiled(
         if pos is not None:
             dl = dl0.copy()
             dl[pos] = dl0[pos] + np.asarray(sizes)
-        rows = src0 + dl
-        for (lo, hi, starts, inside_pos, inside_src, out_lo, out_hi,
-                neg_rows, neg_groups) in cone.steps:
-            if inside_pos is not None:
-                rows[inside_pos] = overlay[inside_src] + dl[inside_pos]
-            if neg_rows:
-                seg = rows[lo : lo + neg_rows]
-                np.negative(seg, out=seg)
-            np.maximum.reduceat(
-                rows[lo:hi], starts, axis=0, out=overlay[out_lo:out_hi]
-            )
-            if neg_groups:
-                seg = overlay[out_lo : out_lo + neg_groups]
-                np.negative(seg, out=seg)
+        _run_cone_steps(cone, src0 + dl, dl, overlay)
         for column, (net, row) in enumerate(zip(nets, row_index)):
             out[vector, column] = (
                 overlay[row] if row is not None else base_rows[net]
             )
     if recorder.enabled:
         recorder.count("kernel.reductions", len(cone.edges) * len(size_vectors))
+    return out
+
+
+def replay_sink_compiled(
+    base: TransitionSimResult,
+    edge_indices: Sequence[int],
+    sizes: np.ndarray,
+    affected: Iterable[str],
+    nets: Sequence[str],
+) -> np.ndarray:
+    """One cone replay for every suspect edge on a shared sink.
+
+    Returns the ``(len(edge_indices), len(nets), width)`` settle rows of
+    ``nets`` after adding ``sizes`` to each edge in turn — the dictionary
+    builder's per-(sink, pattern) inner loop.  The suspects' replays sit
+    side by side in one ``(n_edges, K * width)`` stack and the cone's
+    level steps run once over it.  Add, negate and
+    ``np.maximum.reduceat(axis=0)`` each act on one column at a time, so
+    every block of ``width`` columns is bit-identical to calling
+    :func:`resimulate_with_extra_compiled` with ``{edge: sizes}`` and
+    taking ``stable.take_rows(nets)``.
+
+    A suspect whose edge is not a candidate pin of this pattern's cone
+    schedule cannot change any settle time; it gets the base rows without
+    a replay (``kernel.replays_skipped``).  That shortcut needs ``base``
+    to be a simulation without extra delay — replaying its unperturbed
+    cone then reproduces the base rows exactly — as every dictionary base
+    simulation is.
+    """
+    schedule = base.kernel_state
+    if not isinstance(schedule, PatternSchedule):
+        raise TypeError("base result does not carry a compiled-kernel schedule")
+    base_stable = base.stable
+    if not isinstance(base_stable, StableTimes):
+        raise TypeError("compiled re-simulation requires a compiled base result")
+    if not hasattr(affected, "__len__"):
+        affected = set(affected)
+    nets = list(nets)
+    width = base.width
+    n_suspects = len(edge_indices)
+    out = np.empty((n_suspects, len(nets), width))
+    if not affected or not n_suspects:
+        out[:] = base_stable.take_rows(nets)
+        return out
+
+    cone = schedule.cone_for(affected)
+    edge_pos = cone.edge_pos
+    live = []
+    positions = []
+    for slot, edge_index in enumerate(edge_indices):
+        pos = edge_pos.get(int(edge_index))
+        if pos is not None:
+            live.append(slot)
+            positions.append(pos)
+    overlay_rows = cone.overlay_rows
+    row_index = [overlay_rows.get(net) for net in nets]
+    if len(live) < n_suspects or None in row_index:
+        out[:] = base_stable.take_rows(nets)
+    recorder = obs.get_recorder()
+    n_live = len(live)
+    if recorder.enabled:
+        if n_live < n_suspects:
+            recorder.count("kernel.replays_skipped", n_suspects - n_live)
+        if n_live:
+            recorder.count("dynamic.resimulations", n_live)
+            recorder.count("dynamic.nets_recomputed", len(affected) * n_live)
+            recorder.count("kernel.reductions", len(cone.edges) * n_live)
+    if not n_live:
+        return out
+
+    timing = base.timing
+    delays = (
+        timing.delays
+        if base.sample_index is None
+        else timing.delays[:, base.sample_index : base.sample_index + 1]
+    )
+    sizes = np.asarray(sizes)
+    dl = delays[cone.edges]
+    sources = base_stable.matrix[cone.sources]
+    if n_live == 1:
+        dl[positions[0]] = dl[positions[0]] + sizes
+        rows = sources
+    else:
+        # Replay b owns columns [b * width, (b + 1) * width).
+        n_edges = len(cone.edges)
+        stacked = np.empty((n_edges, n_live * width))
+        stacked.reshape(n_edges, n_live, width)[:] = dl[:, None, :]
+        for block, pos in enumerate(positions):
+            stacked[pos, block * width : (block + 1) * width] = dl[pos] + sizes
+        dl = stacked
+        rows = np.empty_like(dl)
+        rows.reshape(n_edges, n_live, width)[:] = sources[:, None, :]
+    rows += dl
+    overlay = np.empty((cone.n_overlay, n_live * width))
+    _run_cone_steps(cone, rows, dl, overlay)
+
+    columns = [column for column, row in enumerate(row_index) if row is not None]
+    if columns:
+        replayed = overlay[[row_index[column] for column in columns]]
+        for block, slot in enumerate(live):
+            out[slot, columns] = replayed[:, block * width : (block + 1) * width]
     return out

@@ -223,6 +223,116 @@ class TestResimulationIdentical:
 
 
 # ----------------------------------------------------------------------
+# per-sink batched replay (the dictionary builder's inner loop)
+# ----------------------------------------------------------------------
+def _sink_cases(timing, n_vectors, seed):
+    """``(base, edge_indices, cone, nets)`` per (pattern, sink with 2-4
+    fanin edges that the pattern toggles)."""
+    circuit = timing.circuit
+    by_sink = {}
+    for edge in circuit.edges:
+        by_sink.setdefault(edge.sink, []).append(timing.edge_index[edge])
+    groups = {sink: edges for sink, edges in by_sink.items()
+              if 2 <= len(edges) <= 4}
+    cases = []
+    for v1, v2 in _vectors(circuit, seed, n_vectors):
+        base = simulate_transition(timing, v1, v2)
+        for sink, edges in groups.items():
+            if not base.transitioned(sink):
+                continue
+            cone = circuit.fanout_cone(sink)
+            nets = [net for net in cone if net in set(circuit.outputs)]
+            cases.append((base, edges, cone, nets + [sink]))
+    return cases
+
+
+def _per_suspect(base, edges, sizes, cone, nets):
+    return np.stack([
+        resimulate_with_extra(base, {edge: sizes}, affected=cone)
+        .stable.take_rows(nets)
+        for edge in edges
+    ])
+
+
+class TestSinkReplayIdentical:
+    """``replay_sink`` == one ``resimulate_with_extra`` per suspect edge."""
+
+    @pytest.mark.parametrize("timing_name", ["small_timing", "bench_timing"])
+    def test_matches_per_suspect_replays(self, request, timing_name):
+        from repro.timing.dynamic import replay_sink
+
+        timing = request.getfixturevalue(timing_name)
+        sizes = np.random.default_rng(4).uniform(
+            0.0, 2.0, timing.space.n_samples
+        )
+        cases = _sink_cases(timing, 3, seed=11)
+        assert cases
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            for base, edges, cone, nets in cases:
+                batched = replay_sink(base, edges, sizes, cone, nets)
+                assert batched.shape == (len(edges), len(nets), base.width)
+                assert np.array_equal(
+                    batched, _per_suspect(base, edges, sizes, cone, nets)
+                )
+        # some (suspect, pattern) pairs are non-candidate pins: their rows
+        # came from the base simulation without a replay, still identical
+        assert recorder.counter_value("kernel.replays_skipped") > 0
+        assert recorder.counter_value("dynamic.resimulations") > 0
+
+    def test_non_candidate_pins_return_base_rows(self, small_timing):
+        from repro.timing.kernel import replay_sink_compiled
+
+        sizes = np.full(small_timing.space.n_samples, 1.5)
+        skipped = 0
+        for base, edges, cone, nets in _sink_cases(small_timing, 4, seed=2):
+            candidates = base.kernel_state.cone_for(cone).edge_pos
+            batched = replay_sink_compiled(base, edges, sizes, cone, nets)
+            for slot, edge in enumerate(edges):
+                if edge in candidates:
+                    continue
+                skipped += 1
+                assert np.array_equal(
+                    batched[slot], base.stable.take_rows(nets)
+                )
+        assert skipped
+
+    def test_reference_kernel(self, small_timing, monkeypatch):
+        from repro.timing.dynamic import replay_sink
+
+        sizes = np.full(small_timing.space.n_samples, 0.7)
+        compiled = [
+            replay_sink(base, edges, sizes, cone, nets)
+            for base, edges, cone, nets in _sink_cases(small_timing, 2, 5)
+        ]
+        monkeypatch.setenv("REPRO_TIMING_KERNEL", "reference")
+        cases = _sink_cases(small_timing, 2, 5)
+        assert all(base.kernel_state is None for base, *_rest in cases)
+        for want, (base, edges, cone, nets) in zip(compiled, cases):
+            assert np.array_equal(
+                replay_sink(base, edges, sizes, cone, nets), want
+            )
+
+    def test_instance_width_and_empty_inputs(self, small_timing):
+        from repro.timing.dynamic import replay_sink
+
+        full, edges, cone, _nets = _sink_cases(small_timing, 3, seed=11)[0]
+        nets = list(cone)
+        for sample_index in (None, 4):
+            base = simulate_transition(
+                small_timing, full.v1, full.v2, sample_index=sample_index
+            )
+            sizes = np.full(base.width, 0.6)
+            assert np.array_equal(
+                replay_sink(base, edges, sizes, cone, nets),
+                _per_suspect(base, edges, sizes, cone, nets),
+            )
+            assert replay_sink(base, [], sizes, cone, nets).shape == (
+                0, len(nets), base.width
+            )
+
+
+# ----------------------------------------------------------------------
 # whole-dictionary bit-identity (the workload the kernel exists for)
 # ----------------------------------------------------------------------
 def _dictionary_case(timing, seed=0):

@@ -12,6 +12,7 @@ Three properties carry the layer's whole value and are pinned here:
   pinned by a golden fixture so instrumentation drift fails loudly.
 """
 
+import asyncio
 import json
 import os
 import threading
@@ -99,6 +100,70 @@ class TestSpans:
         # each thread has its own nesting stack: no cross-thread parenting
         assert set(names) == {"main", "thread.work"}
         assert names["thread.work"]["count"] == 4
+
+    def test_interleaved_asyncio_tasks_do_not_nest(self):
+        """Two requests served concurrently on one event loop thread: the
+        first opens its span, the second opens its own while the first is
+        still open, then they close in opening order.  Each must stay a
+        depth-1 node — a per-thread stack would nest the second under the
+        first and never pop the first."""
+        recorder = obs.Recorder()
+
+        async def request(opened, release):
+            with recorder.span("service.request"):
+                opened.set()
+                await release.wait()
+
+        async def serve():
+            first_open, second_open = asyncio.Event(), asyncio.Event()
+            release = asyncio.Event()
+            first = asyncio.create_task(request(first_open, release))
+            await first_open.wait()
+            second = asyncio.create_task(request(second_open, release))
+            await second_open.wait()
+            release.set()
+            await asyncio.gather(first, second)
+            with recorder.span("after"):
+                pass
+
+        asyncio.run(serve())
+        (node, after) = sorted(
+            recorder.snapshot()["spans"], key=lambda n: n["name"] != "service.request"
+        )
+        assert node["name"] == "service.request"
+        assert node["count"] == 2 and "children" not in node
+        assert after["name"] == "after"  # the stack was left empty
+        assert recorder.span_depth() == 1
+
+    def test_span_closed_in_another_context_still_pops(self):
+        import contextvars
+
+        recorder = obs.Recorder()
+        span = recorder.span("handed")
+        contextvars.copy_context().run(span.__enter__)
+        with recorder.span("opener"):
+            pass
+        span.__exit__(None, None, None)  # not where it was entered
+        names = {node["name"]: node for node in recorder.snapshot()["spans"]}
+        assert names["handed"]["count"] == 1
+        assert recorder.span_depth() == 1
+
+    def test_tasks_nest_under_the_span_they_were_created_in(self):
+        recorder = obs.Recorder()
+
+        async def child():
+            with recorder.span("child"):
+                await asyncio.sleep(0)
+
+        async def parent():
+            with recorder.span("parent"):
+                await asyncio.gather(child(), child())
+
+        asyncio.run(parent())
+        (node,) = recorder.snapshot()["spans"]
+        assert node["name"] == "parent"
+        (inner,) = node["children"]
+        assert (inner["name"], inner["count"]) == ("child", 2)
 
 
 class TestCounters:

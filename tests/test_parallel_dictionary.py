@@ -14,6 +14,7 @@ import pytest
 from repro.atpg import generate_path_tests, random_pattern_pairs
 from repro.core import (
     MIN_CHUNK_WORK,
+    POOL_BREAK_EVEN_WORK,
     ParallelConfig,
     build_dictionary,
     build_sweep_dictionary,
@@ -243,6 +244,114 @@ class TestWorkAwareChunking:
         plain = map_chunked(_double_chunk, 3, 9, config)
         hinted = map_chunked(_double_chunk, 3, 9, config, work_per_item=10)
         assert plain == hinted == [3 * index for index in range(9)]
+
+
+class _PoolConstructed(Exception):
+    """Raised by the patched ``ProcessPoolExecutor``: a pool was built."""
+
+
+class TestWorkAwareDispatch:
+    """A hinted, auto-chunked map below ``POOL_BREAK_EVEN_WORK`` runs
+    in-process; every other call still reaches the configured pool."""
+
+    @pytest.fixture()
+    def no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise _PoolConstructed
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    def _build(self, bench_case, parallel):
+        timing, patterns, clk, suspects, sizes, sims = bench_case
+        return build_dictionary(
+            timing, patterns, clk, suspects, sizes, base_simulations=sims,
+            parallel=parallel,
+        )
+
+    def test_small_process_build_never_constructs_a_pool(
+        self, bench_case, no_pool
+    ):
+        from repro import obs
+
+        timing, patterns, _clk, suspects, _sizes, _sims = bench_case
+        work = len(suspects) * len(patterns) * timing.space.n_samples
+        assert work < POOL_BREAK_EVEN_WORK
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            built = self._build(
+                bench_case, ParallelConfig(backend="process", n_workers=2)
+            )
+        _assert_identical(self._build(bench_case, None), built)
+        assert recorder.counter_value("parallel.dispatch.below_break_even") == 1
+        assert recorder.counter_value("parallel.process.chunks") == 0
+
+    def test_serial_backend_is_not_counted_as_a_dispatch(self):
+        from repro import obs
+
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            map_chunked(_double_chunk, 3, 9, "serial", work_per_item=1)
+        assert recorder.counter_value("parallel.dispatch.below_break_even") == 0
+
+    def test_build_above_break_even_reaches_the_pool(
+        self, bench_case, no_pool, monkeypatch
+    ):
+        import repro.core.parallel as parallel_module
+
+        monkeypatch.setattr(parallel_module, "POOL_BREAK_EVEN_WORK", 1)
+        with pytest.raises(_PoolConstructed):
+            self._build(
+                bench_case, ParallelConfig(backend="process", n_workers=2)
+            )
+
+    def test_build_above_break_even_is_bit_identical(
+        self, bench_case, monkeypatch
+    ):
+        import repro.core.parallel as parallel_module
+        from repro import obs
+
+        monkeypatch.setattr(parallel_module, "POOL_BREAK_EVEN_WORK", 1)
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            pooled = self._build(
+                bench_case, ParallelConfig(backend="process", n_workers=2)
+            )
+        _assert_identical(self._build(bench_case, None), pooled)
+        assert recorder.counter_value("parallel.process.chunks") >= 1
+        assert recorder.counter_value("parallel.dispatch.below_break_even") == 0
+
+    def test_explicit_chunk_size_reaches_the_pool(self, no_pool):
+        config = ParallelConfig(backend="process", n_workers=2, chunk_size=100)
+        with pytest.raises(_PoolConstructed):
+            map_chunked(_double_chunk, 3, 9, config, work_per_item=1)
+
+    def test_explicit_chunks_reach_the_pool(self, no_pool):
+        config = ParallelConfig(backend="process", n_workers=2)
+        with pytest.raises(_PoolConstructed):
+            map_chunked(
+                _double_chunk, 3, 9, config, work_per_item=1,
+                chunks=[range(9)],
+            )
+
+    def test_hintless_restore_probe_reaches_the_pool(self, no_pool):
+        from repro import obs
+        from repro.service import DiagnosisService
+        from repro.service.supervision import (
+            ServiceSupervisor,
+            SupervisorConfig,
+        )
+
+        supervisor = ServiceSupervisor(
+            DiagnosisService(parallel="process"),
+            SupervisorConfig(auto_restore=False),
+        )
+        supervisor._rung = "serial"  # as after a plane degradation
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            assert supervisor.restore_plane() is False
+        assert recorder.counter_value("service.supervision.restore_failed") == 1
 
 
 # ----------------------------------------------------------------------

@@ -763,6 +763,7 @@ class _ScriptedServer:
     def __init__(self, script):
         self.script = list(script)
         self.requests_served = 0
+        self._conn = None
         self._sock = socket.socket()
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind(("127.0.0.1", 0))
@@ -776,9 +777,11 @@ class _ScriptedServer:
             try:
                 conn, _addr = self._sock.accept()
             except OSError:
-                return
-            with conn:
-                reader = conn.makefile("rb")
+                return  # listener shut down by close()
+            self._conn = conn
+            # The reader holds its own reference to the socket: both must
+            # close before a "drop" actually reaches the client.
+            with conn, conn.makefile("rb") as reader:
                 while self.script:
                     line = reader.readline()
                     if not line:
@@ -799,12 +802,25 @@ class _ScriptedServer:
                             "error": {"type": action, "message": action},
                         }
                     conn.sendall(json.dumps(response).encode() + b"\n")
+            self._conn = None
 
     def close(self):
-        try:
-            self._sock.close()
-        finally:
-            self._thread.join(timeout=10)
+        """Stop the server thread, failing loudly if it does not stop.
+
+        On Linux ``close()`` from another thread does not wake a thread
+        blocked in ``accept()`` (or in a read on an open connection), so
+        both are shut down first; the thread then exits at once.
+        """
+        for sock in (self._sock, self._conn):
+            if sock is None:
+                continue
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._sock.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive(), "scripted server thread hung"
 
 
 _NO_WAIT = dict(backoff_base=0.0, jitter=0.0)

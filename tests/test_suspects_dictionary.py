@@ -2,11 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.atpg import generate_path_tests
-from repro.core import build_dictionary, suspect_edges, trace_sensitized_edges
+from repro import obs
+from repro.atpg import generate_path_tests, random_pattern_pairs
+from repro.core import (
+    ParallelConfig,
+    build_dictionary,
+    build_multi_clock_dictionary,
+    suspect_edges,
+    trace_sensitized_edges,
+)
 from repro.defects import SingleDefectModel, behavior_matrix
-from repro.timing import diagnosis_clock, simulate_pattern_set, simulate_transition
+from repro.timing import (
+    diagnosis_clock,
+    resimulate_with_extra,
+    simulate_pattern_set,
+    simulate_transition,
+)
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +177,157 @@ class TestDictionary:
             model.dictionary_size_variable().samples, base_simulations=sims,
         )
         assert len(dictionary) == 1
+
+
+# ----------------------------------------------------------------------
+# per-sink batched replay: bit-identical to one replay per suspect
+# ----------------------------------------------------------------------
+def _per_suspect_dictionary(timing, sims, clks, suspects, sizes):
+    """``(m_crt, signatures)`` the unbatched way: one
+    ``resimulate_with_extra`` per (suspect, pattern) over the suspect's
+    whole fanout cone, and ``E - M`` over every entry."""
+    circuit = timing.circuit
+    n_patterns = len(sims)
+    m_crt = np.zeros((len(circuit.outputs), n_patterns * len(clks)))
+    for block, clk in enumerate(clks):
+        for column, sim in enumerate(sims):
+            m_crt[:, block * n_patterns + column] = sim.error_vector(clk)
+    signatures = {}
+    for edge in suspects:
+        signature = np.zeros_like(m_crt)
+        cone = circuit.fanout_cone(edge.sink)
+        for column, sim in enumerate(sims):
+            patched = resimulate_with_extra(
+                sim, {timing.edge_index[edge]: sizes}, affected=cone
+            )
+            for block, clk in enumerate(clks):
+                col = block * n_patterns + column
+                signature[:, col] = patched.error_vector(clk) - m_crt[:, col]
+        signatures[edge] = signature
+    return m_crt, signatures
+
+
+def _assert_matches(dictionary, reference):
+    m_crt, signatures = reference
+    assert np.array_equal(dictionary.m_crt, m_crt)
+    for edge, signature in signatures.items():
+        assert np.array_equal(dictionary.signatures[edge], signature), edge
+
+
+def _shared_sink_suspects(timing, sims, max_sinks=12):
+    """Every fanin edge of up to ``max_sinks`` sinks with 2-4 fanins that
+    some pattern toggles, sink by sink."""
+    circuit = timing.circuit
+    by_sink = {}
+    for edge in circuit.edges:
+        by_sink.setdefault(edge.sink, []).append(edge)
+    groups = [
+        edges for sink, edges in by_sink.items()
+        if 2 <= len(edges) <= 4 and any(sim.transitioned(sink) for sim in sims)
+    ]
+    return [edge for edges in groups[:max_sinks] for edge in edges]
+
+
+@pytest.fixture(scope="module")
+def replay_case(bench_timing):
+    """Random two-vector tests on s1196: many sinks toggle in many
+    columns.  The clock is half the usual diagnosis clock, so many short
+    paths sit near it and many suspects get non-zero signatures."""
+    patterns = random_pattern_pairs(bench_timing.circuit, 12, seed=5)
+    sims = simulate_pattern_set(bench_timing, list(patterns))
+    clk = 0.5 * diagnosis_clock(
+        bench_timing, list(patterns), 0.8, simulations=sims
+    )
+    sizes = SingleDefectModel(bench_timing).dictionary_size_variable().samples
+    return patterns, sims, clk, sizes
+
+
+class TestBatchedSinkReplay:
+    def test_shared_sinks_match_per_suspect_path(self, replay_case, bench_timing):
+        patterns, sims, clk, sizes = replay_case
+        suspects = _shared_sink_suspects(bench_timing, sims)
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            dictionary = build_dictionary(
+                bench_timing, patterns, clk, suspects, sizes,
+                base_simulations=sims,
+            )
+        _assert_matches(
+            dictionary,
+            _per_suspect_dictionary(bench_timing, sims, [clk], suspects, sizes),
+        )
+        assert sum(bool(dictionary.signatures[e].any()) for e in suspects) > 4
+        # some suspects are non-candidate pins in some columns
+        assert recorder.counter_value("kernel.replays_skipped") > 0
+
+    def test_multi_clock(self, replay_case, bench_timing):
+        patterns, sims, clk, sizes = replay_case
+        suspects = _shared_sink_suspects(bench_timing, sims)
+        clks = [clk * 0.95, clk, clk * 1.05]
+        dictionary = build_multi_clock_dictionary(
+            bench_timing, patterns, clks, suspects, sizes,
+            base_simulations=sims,
+        )
+        _assert_matches(
+            dictionary,
+            _per_suspect_dictionary(bench_timing, sims, clks, suspects, sizes),
+        )
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_backends(self, replay_case, bench_timing, backend):
+        """Explicit 3-suspect chunks reach the pool and split sink groups
+        across chunks (and workers)."""
+        patterns, sims, clk, sizes = replay_case
+        suspects = _shared_sink_suspects(bench_timing, sims)
+        dictionary = build_dictionary(
+            bench_timing, patterns, clk, suspects, sizes,
+            base_simulations=sims,
+            parallel=ParallelConfig(backend=backend, n_workers=2, chunk_size=3),
+        )
+        _assert_matches(
+            dictionary,
+            _per_suspect_dictionary(bench_timing, sims, [clk], suspects, sizes),
+        )
+
+    def test_reference_kernel(self, replay_case, bench_timing, monkeypatch):
+        patterns, _sims, clk, sizes = replay_case
+        monkeypatch.setenv("REPRO_TIMING_KERNEL", "reference")
+        sims = simulate_pattern_set(bench_timing, list(patterns))
+        assert all(sim.kernel_state is None for sim in sims)
+        suspects = _shared_sink_suspects(bench_timing, sims, max_sinks=3)
+        dictionary = build_dictionary(
+            bench_timing, patterns, clk, suspects, sizes,
+            base_simulations=sims,
+        )
+        _assert_matches(
+            dictionary,
+            _per_suspect_dictionary(bench_timing, sims, [clk], suspects, sizes),
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_random_suspect_subsets(self, replay_case, bench_timing, data):
+        """Any suspect subset of s1196, in any order: whole sink groups
+        plus loose edges, so some sinks carry one suspect and some many."""
+        patterns, sims, clk, sizes = replay_case
+        grouped = _shared_sink_suspects(bench_timing, sims, max_sinks=40)
+        picked = data.draw(
+            st.lists(st.sampled_from(grouped), min_size=1, max_size=12,
+                     unique=True)
+        )
+        loose = data.draw(
+            st.lists(st.sampled_from(bench_timing.circuit.edges), max_size=4,
+                     unique=True)
+        )
+        sinks = {edge.sink for edge in picked}
+        suspects = [edge for edge in grouped if edge.sink in sinks]
+        suspects += [edge for edge in loose if edge not in suspects]
+        suspects = data.draw(st.permutations(suspects))
+        dictionary = build_dictionary(
+            bench_timing, patterns, clk, suspects, sizes,
+            base_simulations=sims,
+        )
+        _assert_matches(
+            dictionary,
+            _per_suspect_dictionary(bench_timing, sims, [clk], suspects, sizes),
+        )
