@@ -14,13 +14,15 @@ Interpretation notes:
   startup,
 * ``warm-batch-N`` is the headline: queries/sec through the vectorized
   ``diagnose_batch`` kernel on an already-warm dictionary (target:
-  >= 100 q/s on s1196, even single-core),
+  >= 100 q/s on s1196, even single-core).  s15850 runs the same rows on
+  its full suspect set against 684x6 behaviors, where only the few output
+  rows some suspect's fanout cone reaches are scored,
 * ``store-warm-start`` maps the dictionary from a
   :class:`~repro.core.DictionaryStore` entry instead of rebuilding —
   the restart path,
-* warm batch answers are asserted identical to one-shot ``diagnose``
-  before any timing is reported — a fast wrong ranking must never enter
-  the record.
+* warm batch answers are asserted identical to the scalar
+  ``ErrorFunction`` ranking (and to one-shot ``diagnose``) before any
+  timing — a fast wrong ranking must never enter the record.
 
 Usage: ``PYTHONPATH=src python benchmarks/bench_service.py [--quick]``
 """
@@ -37,7 +39,7 @@ import time
 
 import numpy as np
 
-from repro.core import DictionaryStore, diagnose
+from repro.core import DictionaryStore, by_name, diagnose
 from repro.service import (
     DiagnosisRequest,
     DiagnosisService,
@@ -48,6 +50,8 @@ from repro.service import (
 #: The acceptance throughput floor: warm batched queries/sec on s1196.
 TARGET_QPS = 100.0
 BENCHMARK = "s1196"
+#: Every circuit benchmarked; the floor gates ``BENCHMARK``.
+CIRCUITS = (BENCHMARK, "s15850")
 
 
 def _requests(workload_name, behaviors, error_function):
@@ -59,16 +63,27 @@ def _requests(workload_name, behaviors, error_function):
     ]
 
 
-def bench_service(samples, n_paths, n_queries, batch_size, repeats,
+def _scalar_ranking(dictionary, behavior, function):
+    """The reference: each suspect scored by the scalar error function."""
+    scored = [
+        (edge, function(dictionary.e_crt(edge), behavior))
+        for edge in dictionary.suspects
+    ]
+    sign = -1.0 if function.higher_is_better else 1.0
+    return sorted(scored, key=lambda item: sign * item[1])
+
+
+def bench_service(circuit, samples, n_paths, n_queries, batch_size, repeats,
                   error_function):
     workload, model = standard_workload(
-        BENCHMARK, samples=samples, seed=0, n_paths=n_paths
+        circuit, samples=samples, seed=0, n_paths=n_paths
     )
     behaviors = draw_query_behaviors(workload, model, n_queries, seed=1000)
     base = dict(
-        circuit=BENCHMARK,
+        circuit=circuit,
         n_suspects=len(workload.suspects),
         n_patterns=len(workload.patterns),
+        n_outputs=workload.behavior_shape[0],
         n_samples=samples,
         error_function=error_function,
     )
@@ -97,25 +112,21 @@ def bench_service(samples, n_paths, n_queries, batch_size, repeats,
 
     # -- warm batched throughput (the headline) -------------------------
     requests = _requests(workload.name, behaviors, error_function)
-    answers = None
+    # a fast wrong ranking must never enter the record
+    dictionary = service.workload(workload.name).dictionary
+    function = by_name(error_function)
+    checked = service.diagnose_batch(requests[:batch_size])
+    for behavior, answer in zip(behaviors, checked):
+        reference = _scalar_ranking(dictionary, behavior, function)
+        assert answer.ranking == reference, "batched answer diverged"
+        one_shot = diagnose(dictionary, behavior, error_function=function)
+        assert answer.ranking == one_shot.ranking, "one-shot answer diverged"
     best = float("inf")
     for _repeat in range(repeats):
         started = time.perf_counter()
-        answers = []
         for start in range(0, len(requests), batch_size):
-            answers.extend(
-                service.diagnose_batch(requests[start:start + batch_size])
-            )
+            service.diagnose_batch(requests[start:start + batch_size])
         best = min(best, time.perf_counter() - started)
-    # a fast wrong ranking must never enter the record
-    dictionary = service.workload(workload.name).dictionary
-    for behavior, answer in zip(behaviors[:5], answers[:5]):
-        from repro.core.error_functions import by_name
-
-        reference = diagnose(
-            dictionary, behavior, error_function=by_name(error_function)
-        )
-        assert answer.ranking == reference.ranking, "batched answer diverged"
     runs.append(dict(
         base, strategy=f"warm-batch-{batch_size}", queries=len(requests),
         seconds=round(best, 6),
@@ -164,16 +175,20 @@ def main(argv=None) -> int:
 
     samples = min(args.samples, 120) if args.quick else args.samples
     n_queries = min(args.queries, 64) if args.quick else args.queries
-    print(f"benchmarking the diagnosis service on {BENCHMARK} "
-          f"({samples} samples, {n_queries} queries) ...", flush=True)
-    runs = bench_service(
-        samples=samples, n_paths=args.paths, n_queries=n_queries,
-        batch_size=args.batch, repeats=args.repeats,
-        error_function=args.error_function,
-    )
-    for run in runs:
-        qps = f"{run['qps']:10.1f} q/s" if run["qps"] else " " * 14
-        print(f"  {run['strategy']:>18s}: {run['seconds']*1e3:9.1f} ms  {qps}")
+    runs = []
+    for circuit in CIRCUITS:
+        print(f"benchmarking the diagnosis service on {circuit} "
+              f"({samples} samples, {n_queries} queries) ...", flush=True)
+        circuit_runs = bench_service(
+            circuit, samples=samples, n_paths=args.paths,
+            n_queries=n_queries, batch_size=args.batch,
+            repeats=args.repeats, error_function=args.error_function,
+        )
+        for run in circuit_runs:
+            qps = f"{run['qps']:10.1f} q/s" if run["qps"] else " " * 14
+            print(f"  {run['strategy']:>18s}: "
+                  f"{run['seconds']*1e3:9.1f} ms  {qps}")
+        runs.extend(circuit_runs)
 
     report = {
         "bench": "diagnosis_service",
@@ -182,7 +197,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "config": {
-            "circuit": BENCHMARK,
+            "circuits": list(CIRCUITS),
             "samples": samples,
             "paths": args.paths,
             "queries": n_queries,
@@ -197,7 +212,10 @@ def main(argv=None) -> int:
         handle.write("\n")
     print(f"wrote {args.output}")
 
-    headline = next(r for r in runs if r["strategy"].startswith("warm-batch"))
+    headline = next(
+        r for r in runs
+        if r["circuit"] == BENCHMARK and r["strategy"].startswith("warm-batch")
+    )
     status = "OK" if headline["qps"] >= TARGET_QPS else "BELOW TARGET"
     print(f"warm batched throughput on {BENCHMARK}: {headline['qps']:.1f} q/s "
           f"(target >= {TARGET_QPS:.0f} q/s) {status}")

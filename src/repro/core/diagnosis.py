@@ -106,21 +106,12 @@ def diagnose(
     the signature; with a tight diagnosis clock, baseline-critical
     observations (``m ~ 1``) would otherwise make every suspect look
     inconsistent with failures the healthy circuit itself produces.
+
+    A batch of one through the scorer of :func:`diagnose_batch`; the
+    scalar :class:`~repro.core.error_functions.ErrorFunction` scores
+    remain the reference its kernels are tested against.
     """
-    behavior = np.asarray(behavior)
-    if behavior.shape != dictionary.m_crt.shape:
-        raise ValueError(
-            f"behavior shape {behavior.shape} != error-matrix shape "
-            f"{dictionary.m_crt.shape}"
-        )
-    scored = [
-        (edge, error_function(dictionary.e_crt(edge), behavior))
-        for edge in dictionary.suspects
-    ]
-    # Stable sort: ties keep the deterministic suspect order.
-    reverse = error_function.higher_is_better
-    ranking = sorted(scored, key=lambda item: -item[1] if reverse else item[1])
-    return DiagnosisResult(error_function.name, ranking)
+    return _rank_batch(dictionary, [behavior], error_function)[0]
 
 
 #: Soft cap on the broadcast scratch ``(Q_chunk, S, n_out, n_cols)`` the
@@ -137,16 +128,28 @@ def diagnose_batch(
 ) -> List[DiagnosisResult]:
     """Rank the dictionary's suspects against many behavior matrices.
 
-    One vectorized kernel call scores every (behavior, suspect) pair via
-    the suspect signature stack, then each query is ranked exactly like
-    :func:`diagnose`.  The result is bit-identical to
-    ``[diagnose(dictionary, b, error_function) for b in behaviors]`` —
-    the batched error-function kernels replay the scalar floating-point
-    reduction order (see :func:`repro.core.error_functions.batched_scores`)
-    and the ranking uses the same stable sort and tie-break.  This is the
-    hot path of the warm :class:`repro.service.DiagnosisService`.
+    One vectorized kernel call scores every (behavior, suspect) pair
+    against the dictionary's memoized error stack, then each query is
+    ranked by a stable sort, ties keeping suspect order.  Each score is
+    bit-identical to the scalar ``error_function(e_crt(edge), behavior)``
+    — the batched kernels replay the scalar floating-point reduction
+    order and skip only rows that contribute an exact factor of 1.0 (see
+    :func:`repro.core.error_functions.batched_scores`) — so answers do
+    not depend on how queries are batched.  This is the hot path of the
+    warm :class:`repro.service.DiagnosisService`; :func:`diagnose` is the
+    same scorer on a batch of one, without the ``diagnosis.batch`` span.
     """
     recorder = obs.get_recorder()
+    with recorder.span("diagnosis.batch"):
+        recorder.count("diagnosis.batch_queries", len(behaviors))
+        return _rank_batch(dictionary, behaviors, error_function)
+
+
+def _rank_batch(
+    dictionary: ProbabilisticFaultDictionary,
+    behaviors: Sequence[np.ndarray],
+    error_function: ErrorFunction,
+) -> List[DiagnosisResult]:
     shape = dictionary.m_crt.shape
     stacked = np.empty((len(behaviors),) + shape, dtype=float)
     for index, behavior in enumerate(behaviors):
@@ -163,28 +166,23 @@ def diagnose_batch(
             DiagnosisResult(error_function.name, [])
             for _ in range(len(behaviors))
         ]
-    with recorder.span("diagnosis.batch"):
-        recorder.count("diagnosis.batch_queries", len(behaviors))
-        # Same floats as per-suspect ``m_crt + signatures[edge]``: the
-        # broadcast add performs the identical elementwise additions.
-        e_stack = dictionary.m_crt[None, :, :] + dictionary.signature_stack()
-        per_query = len(suspects) * max(int(np.prod(shape)), 1)
-        block = max(1, _BATCH_BLOCK_ELEMS // per_query)
-        results: List[DiagnosisResult] = []
-        reverse = error_function.higher_is_better
-        for start in range(0, len(behaviors), block):
-            grid = batched_scores(
-                error_function, e_stack, stacked[start:start + block]
+    e_stack = dictionary.error_stack()
+    live = dictionary.live_rows()
+    per_query = len(suspects) * max(int(np.prod(shape)), 1)
+    block = max(1, _BATCH_BLOCK_ELEMS // per_query)
+    results: List[DiagnosisResult] = []
+    reverse = error_function.higher_is_better
+    for start in range(0, len(behaviors), block):
+        grid = batched_scores(
+            error_function, e_stack, stacked[start:start + block], live
+        )
+        for row in grid.tolist():
+            # Stable sort: ties keep the deterministic suspect order.
+            ranking = sorted(
+                zip(suspects, row),
+                key=lambda item: -item[1] if reverse else item[1],
             )
-            for row in grid:
-                scored = [
-                    (edge, float(score))
-                    for edge, score in zip(suspects, row)
-                ]
-                ranking = sorted(
-                    scored, key=lambda item: -item[1] if reverse else item[1]
-                )
-                results.append(DiagnosisResult(error_function.name, ranking))
+            results.append(DiagnosisResult(error_function.name, ranking))
     return results
 
 

@@ -75,6 +75,7 @@ from ..hier.replay import (
     resolve_hier,
 )
 from .cache import DictionaryCache, dictionary_cache_key, resolve_cache
+from .error_functions import live_rows
 from .parallel import ParallelConfig, map_chunked, resolve_parallel
 
 __all__ = [
@@ -109,6 +110,10 @@ class ProbabilisticFaultDictionary:
     #: :class:`~repro.core.cache.DictionaryStore`; lazily stacked
     #: otherwise.  Batched diagnosis reads suspects through this.
     _signature_stack: Optional[np.ndarray] = None
+    #: Memoized ``m_crt + signature_stack()`` and its live-row mask (see
+    #: :meth:`error_stack` / :meth:`live_rows`).
+    _error_stack: Optional[np.ndarray] = None
+    _live_rows: Optional[np.ndarray] = None
 
     @property
     def circuit(self) -> Circuit:
@@ -140,6 +145,33 @@ class ProbabilisticFaultDictionary:
             stack.setflags(write=False)
             self._signature_stack = stack
         return self._signature_stack
+
+    def error_stack(self) -> np.ndarray:
+        """All ``E_crt`` matrices as one ``(n_suspects, n_out, n_cols)`` array.
+
+        Row ``i`` is bit-identical to ``e_crt(suspects[i])`` (the
+        broadcast add performs the same elementwise additions).  Built
+        once and memoized, like :meth:`signature_stack`; the service
+        builds it at warm-up and reload, so queries only score.
+        """
+        if self._error_stack is None:
+            stack = self.m_crt[None, :, :] + self.signature_stack()
+            stack.setflags(write=False)
+            self._error_stack = stack
+        return self._error_stack
+
+    def live_rows(self) -> np.ndarray:
+        """``(n_out,)`` mask of the outputs some suspect's ``E`` can fail.
+
+        The rows outside it are zero for every suspect; the row-product
+        error functions skip them exactly
+        (:func:`repro.core.error_functions.batched_scores`).
+        """
+        if self._live_rows is None:
+            live = live_rows(self.error_stack())
+            live.setflags(write=False)
+            self._live_rows = live
+        return self._live_rows
 
     def __len__(self) -> int:
         return len(self.suspects)

@@ -27,7 +27,7 @@ ranking direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "match_probabilities",
     "pattern_match_probability",
     "batched_scores",
+    "live_rows",
     "METHOD_I",
     "METHOD_II",
     "METHOD_III",
@@ -198,6 +199,15 @@ def by_name(name: str) -> ErrorFunction:
 #   which NumPy pairwise-sums with the same blocking as the scalar 1-D
 #   (or flattened) reduction of the same length — multi-axis sums are
 #   therefore rewritten as a reshape to ``(Q, S, -1)`` first.
+#
+# The row-product kernels (Methods I-III, Alg_rev) also skip output rows
+# that are zero in every suspect's ``E`` and in every query of the batch.
+# Such a row has ``p = 0*0 + 1*1 = 1.0`` exactly in every column, and
+# ``multiply.reduce`` over rows is sequential, so dropping its factor of
+# 1.0 leaves ``phi`` bit-for-bit unchanged.  A suspect can only fail the
+# outputs its fanout cone reaches, so most rows are dead (12 of s15850's
+# 684).  ``log_likelihood`` and ``euclidean_sb`` keep the full grid:
+# they *sum* over rows, and dropping terms would regroup the pairwise sum.
 
 
 def _batched_match_probabilities(
@@ -251,6 +261,9 @@ def _b_euclidean_sb(e_stack: np.ndarray, behaviors: np.ndarray) -> np.ndarray:
     return d.reshape(d.shape[0], d.shape[1], -1).sum(axis=-1)
 
 
+#: Kernels whose only reduction over output rows is the ``phi`` product.
+_ROW_PRODUCT = frozenset({"method_I", "method_II", "method_III", "alg_rev"})
+
 _BATCHED: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "method_I": _b_method_i,
     "method_II": _b_method_ii,
@@ -261,10 +274,19 @@ _BATCHED: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 }
 
 
+def live_rows(e_stack: np.ndarray) -> np.ndarray:
+    """``(n_out,)`` mask of the rows where any suspect's ``E`` is non-zero.
+
+    ``-0.0`` counts as zero (it scores exactly like ``0.0``); NaN is live.
+    """
+    return np.any(np.asarray(e_stack) != 0, axis=(0, 2))
+
+
 def batched_scores(
     error_function: ErrorFunction,
     e_stack: np.ndarray,
     behaviors: np.ndarray,
+    live: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Score ``Q`` behavior matrices against ``S`` suspect matrices.
 
@@ -273,7 +295,9 @@ def batched_scores(
     ``(Q, S)`` float grid with ``result[q, s] ==
     error_function(e_stack[s], behaviors[q])`` bit-for-bit.  Unregistered
     error functions fall back to the scalar loop, so the equality holds
-    for user-defined functions too.
+    for user-defined functions too.  ``live`` is ``live_rows(e_stack)``,
+    passed in by callers that memoize it; the row-product kernels score
+    only the rows live in the stack or non-zero in some query.
     """
     e_stack = np.asarray(e_stack, dtype=float)
     behaviors = np.asarray(behaviors, dtype=float)
@@ -294,4 +318,12 @@ def batched_scores(
             for s in range(e_stack.shape[0]):
                 out[q, s] = error_function(e_stack[s], behaviors[q])
         return out
+    if error_function.name in _ROW_PRODUCT:
+        if live is None:
+            live = live_rows(e_stack)
+        rows = live | np.any(behaviors != 0, axis=(0, 2))
+        if not rows.all():
+            keep = np.flatnonzero(rows)
+            e_stack = e_stack[:, keep]
+            behaviors = behaviors[:, keep]
     return kernel(e_stack, behaviors)

@@ -6,7 +6,7 @@ Li & Schlichtmann's timing-model extraction applied one level up): each
 registered *workload* compiles its circuit timing, simulates the
 defect-free pattern responses, and builds the probabilistic fault
 dictionary exactly once — after which every query is a cheap vectorized
-scoring pass over the warm signature stack via
+scoring pass over the warm error stack via
 :func:`repro.core.diagnosis.diagnose_batch`.
 
 Warm answers are bit-identical to the one-shot
@@ -184,7 +184,7 @@ class DiagnosisService:
                 recorder = obs.get_recorder()
                 with recorder.span("service.warm"):
                     recorder.count("service.warmups")
-                    workload.dictionary = build_dictionary(
+                    dictionary = build_dictionary(
                         workload.timing,
                         workload.patterns,
                         workload.clk,
@@ -197,10 +197,10 @@ class DiagnosisService:
                         size_distribution=workload.size_distribution,
                         hier=self._hier,
                     )
-                    # Pre-stack signatures so the first query pays no
-                    # assembly cost either (a no-op for store-served
-                    # dictionaries, which arrive with the mmapped stack).
-                    workload.dictionary.signature_stack()
+                    # Memoize the error stack and its live rows before
+                    # publishing, so no query pays the assembly cost.
+                    dictionary.live_rows()
+                    workload.dictionary = dictionary
         return workload.dictionary
 
     def warm_all(self) -> None:
@@ -315,7 +315,7 @@ class DiagnosisService:
                 size_samples=workload.size_samples,
                 _signature_stack=stack[1:] if stack is not None else None,
             )
-            dictionary.signature_stack()
+            dictionary.live_rows()  # memoize before any query sees it
             with self._locks[name]:
                 workload.dictionary = dictionary
                 workload.version += 1
@@ -412,15 +412,27 @@ class DiagnosisService:
             "queries_served": self.queries_served,
             "batches_served": self.batches_served,
             "workloads": {
-                name: {
-                    "warm": workload.dictionary is not None,
-                    "suspects": len(workload.suspects),
-                    "behavior_shape": list(workload.behavior_shape),
-                    "version": workload.version,
-                }
+                name: self._workload_stats(workload)
                 for name, workload in sorted(self._workloads.items())
             },
             "cache": cache_stats,
+        }
+
+    @staticmethod
+    def _workload_stats(workload: Workload) -> Dict:
+        dictionary = workload.dictionary
+        return {
+            "warm": dictionary is not None,
+            "suspects": len(workload.suspects),
+            "behavior_shape": list(workload.behavior_shape),
+            "version": workload.version,
+            # Output rows the row-product kernels score (``None`` until
+            # warm) out of all ``rows``.
+            "live_rows": (
+                None if dictionary is None
+                else int(dictionary.live_rows().sum())
+            ),
+            "rows": workload.behavior_shape[0],
         }
 
 

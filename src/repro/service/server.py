@@ -42,6 +42,7 @@ contract of ``repro serve``.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -89,6 +90,33 @@ class _Pending:
     future: "asyncio.Future" = field(repr=False)
     enqueued_at: float = 0.0
     deadline: float = 0.0
+
+
+def _decode_behavior(behavior) -> np.ndarray:
+    """The wire behavior, a list of equal-length rows of numbers, as a
+    float matrix — one pass over the entries instead of ``np.asarray``'s
+    shape discovery on nested lists.  Anything else is ``bad_request``."""
+    if type(behavior) is not list or not behavior:
+        raise BadRequestError("behavior must be a non-empty list of rows")
+    if set(map(type, behavior)) != {list}:
+        raise BadRequestError("behavior rows must be lists (a 2-D matrix)")
+    widths = set(map(len, behavior))
+    if len(widths) != 1:
+        raise BadRequestError(
+            f"behavior rows must have equal lengths, got {sorted(widths)}"
+        )
+    n_cols = widths.pop()
+    try:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(behavior), dtype=float,
+            count=len(behavior) * n_cols,
+        )
+    except (TypeError, ValueError) as exc:
+        raise BadRequestError(f"bad behavior matrix: {exc}") from None
+    # NumPy reads a JSON null as NaN; NaN and infinities are no behavior.
+    if not np.isfinite(flat).all():
+        raise BadRequestError("behavior entries must be finite numbers")
+    return flat.reshape(len(behavior), n_cols)
 
 
 class DiagnosisServer:
@@ -282,7 +310,9 @@ class DiagnosisServer:
                 finally:
                     self._active_lines -= 1
         except _SlowClientError:
-            pass  # already counted; just drop the peer
+            # Already counted.  Abort: close() would wait to flush the
+            # very bytes the peer is not reading.
+            writer.transport.abort()
         except ChaosError:
             recorder.count("service.connection_faults")
         except (ConnectionResetError, BrokenPipeError):
@@ -307,6 +337,12 @@ class DiagnosisServer:
         block on one peer while others wait.
         """
         writer.write(json.dumps(response).encode() + b"\n")
+        # Arm the deadline (a wait_for Task per reply) only when the write
+        # can block: the kernel did not take every byte, or a chaos plan
+        # may stall the drain.  Otherwise drain() would return at once.
+        if (writer.transport.get_write_buffer_size() == 0
+                and chaos.get_plan() is None):
+            return
         try:
             await asyncio.wait_for(
                 self._drain_writer(writer, conn_id),
@@ -465,16 +501,11 @@ class DiagnosisServer:
         behavior = message.get("behavior")
         if behavior is None:
             raise BadRequestError("diagnose needs a 'behavior' matrix")
-        try:
-            matrix = np.asarray(behavior, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise BadRequestError(f"bad behavior matrix: {exc}") from None
-        if matrix.ndim != 2:
-            raise BadRequestError(
-                f"behavior must be 2-D, got shape {matrix.shape}"
-            )
+        matrix = _decode_behavior(behavior)
         top_k = message.get("top_k")
-        if top_k is not None and (not isinstance(top_k, int) or top_k < 1):
+        if top_k is not None and (
+            isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1
+        ):
             raise BadRequestError("top_k must be a positive integer")
         error_function = message.get("error_function", "alg_rev")
         if not isinstance(error_function, str):

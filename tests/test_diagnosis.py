@@ -95,6 +95,48 @@ class TestDiagnose:
         assert set(results) == {"method_I", "method_II", "alg_rev"}
 
 
+class TestErrorStack:
+    def test_rows_equal_e_crt_and_memoized(self, bench_timing, edges):
+        signatures = {
+            edges[0]: np.array([[0.9, 0.0], [0.0, 0.0]]),
+            edges[1]: np.array([[0.0, 0.3], [0.0, -0.0]]),
+        }
+        dictionary = synthetic_dictionary(bench_timing, signatures)
+        dictionary.m_crt[0, 1] = 0.25
+        stack = dictionary.error_stack()
+        for row, edge in zip(stack, dictionary.suspects):
+            assert row.tobytes() == dictionary.e_crt(edge).tobytes()
+        assert dictionary.error_stack() is stack
+        assert not stack.flags.writeable
+
+    def test_live_rows_mark_rows_any_suspect_can_fail(
+        self, bench_timing, edges
+    ):
+        signatures = {
+            edges[0]: np.array([[0.0, 0.0], [0.0, 0.4], [-0.0, 0.0]]),
+            edges[1]: np.array([[0.0, 0.0], [0.0, 0.0], [0.0, -0.0]]),
+        }
+        dictionary = synthetic_dictionary(bench_timing, signatures)
+        dictionary.m_crt[0, 0] = 1.0
+        live = dictionary.live_rows()
+        assert live.tolist() == [True, True, False]
+        assert dictionary.live_rows() is live
+
+    def test_dead_row_failures_still_scored(self, bench_timing, edges):
+        """A query failing an output no suspect reaches is scored on that
+        row too, like the scalar error function."""
+        signatures = {
+            edges[0]: np.array([[0.9, 0.0], [0.0, 0.0]]),
+            edges[1]: np.array([[0.2, 0.0], [0.0, 0.0]]),
+        }
+        dictionary = synthetic_dictionary(bench_timing, signatures)
+        behavior = np.array([[1, 0], [0, 1]])
+        for function in (METHOD_I, METHOD_II, ALG_REV):
+            result = diagnose(dictionary, behavior, function)
+            for edge, score in result.ranking:
+                assert score == function(dictionary.e_crt(edge), behavior)
+
+
 class TestDiagnosisResult:
     def make(self, edges):
         return DiagnosisResult(

@@ -346,3 +346,85 @@ def test_batch_ranking_stable_under_query_permutation(circuit_seed, seed):
     shuffled = diagnose_batch(dictionary, [behaviors[i] for i in order])
     for position, original in enumerate(order):
         assert shuffled[position].ranking == forward[original].ranking
+
+
+#: Entries the scoring kernels must treat exactly, mixed into the random
+#: stacks: signed zeros, the probability end points and a subnormal.
+_EXACT_ENTRIES = np.array([0.0, -0.0, 1.0, 0.5, 5e-324])
+
+
+def _error_stack_case(rng, n_suspects, n_rows, n_cols):
+    """A random ``E`` stack with dead rows (zero for every suspect) and
+    rows that are zero for only some suspects."""
+    shape = (n_suspects, n_rows, n_cols)
+    stack = np.where(
+        rng.random(shape) < 0.5,
+        rng.random(shape),
+        rng.choice(_EXACT_ENTRIES, size=shape),
+    )
+    stack[rng.random((n_suspects, n_rows)) < 0.3] = 0.0
+    stack[:, rng.random(n_rows) < 0.5] = rng.choice([0.0, -0.0])
+    return stack
+
+
+def _behavior_case(rng, kind, n_rows, n_cols):
+    """One query; ``binary``/``fractional`` queries fail at a random row
+    subset of their own, so the queries of a batch differ in rows."""
+    shape = (n_rows, n_cols)
+    if kind == "zeros":
+        return np.full(shape, rng.choice([0.0, -0.0]))
+    if kind == "ones":
+        return np.ones(shape)
+    if kind == "binary":
+        values = (rng.random(shape) < 0.5).astype(float)
+    else:
+        values = np.where(
+            rng.random(shape) < 0.5,
+            rng.random(shape),
+            rng.choice(_EXACT_ENTRIES, size=shape),
+        )
+    values[rng.random(n_rows) < 0.6] = 0.0
+    return values
+
+
+_BEHAVIOR_KINDS = ["zeros", "ones", "binary", "fractional"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 4),
+    st.integers(1, 24),
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.sampled_from(_BEHAVIOR_KINDS),
+    st.booleans(),
+)
+def test_batched_scores_equal_scalar_loop(
+    seed, n_suspects, n_rows, n_cols, n_queries, first_kind, pass_live
+):
+    """Every batched kernel, row pruning included, equals the scalar
+    ``ErrorFunction`` loop bit for bit — on stacks with dead rows,
+    partially dead rows and exact 0.0 / -0.0 / 1.0 entries, against
+    binary, non-binary, all-zero and all-one queries batched together."""
+    from repro.core.error_functions import (
+        ALL_ERROR_FUNCTIONS,
+        batched_scores,
+        live_rows,
+    )
+
+    rng = np.random.default_rng(seed)
+    e_stack = _error_stack_case(rng, n_suspects, n_rows, n_cols)
+    kinds = [first_kind] + list(rng.choice(_BEHAVIOR_KINDS, n_queries - 1))
+    behaviors = np.stack(
+        [_behavior_case(rng, kind, n_rows, n_cols) for kind in kinds]
+    )
+    live = live_rows(e_stack) if pass_live else None
+    for function in ALL_ERROR_FUNCTIONS:
+        batched = batched_scores(function, e_stack, behaviors, live)
+        scalar = np.array([
+            [function(signature, behavior) for signature in e_stack]
+            for behavior in behaviors
+        ]).reshape(batched.shape)
+        assert np.array_equal(batched, scalar), function.name
+        assert batched.tobytes() == scalar.tobytes(), function.name

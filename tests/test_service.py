@@ -183,6 +183,17 @@ class TestEngineContracts:
         assert stats["batches_served"] == 1
         assert stats["workloads"][WORKLOAD]["warm"] is True
 
+    def test_stats_report_live_rows(self, workload_and_model):
+        workload, _model = workload_and_model
+        service = _service(workload)
+        rows = workload.behavior_shape[0]
+        cold = service.stats()["workloads"][WORKLOAD]
+        assert (cold["live_rows"], cold["rows"]) == (None, rows)
+        live = service.warm(WORKLOAD).live_rows()
+        warm = service.stats()["workloads"][WORKLOAD]
+        assert warm["live_rows"] == int(live.sum())
+        assert 0 < warm["live_rows"] <= warm["rows"] == rows
+
 
 # ----------------------------------------------------------------------
 # mmap store behind the service
@@ -363,6 +374,65 @@ class TestServer:
                     response = json.loads(reader.readline())
                     assert response["ok"] is False
                     assert response["error"]["type"] == "bad_request"
+
+    def test_malformed_behaviors_get_bad_request(
+        self, workload_and_model, behaviors
+    ):
+        """Every malformed behavior or ``top_k`` gets a typed
+        ``bad_request``, and the connection keeps serving."""
+        workload, _model = workload_and_model
+        service = _service(workload)
+        n_rows, n_cols = workload.behavior_shape
+        good = behaviors[0].tolist()
+        cases = {
+            "ragged": [[0] * n_cols] * (n_rows - 1) + [[0] * (n_cols + 1)],
+            "1-D": [0] * n_cols,
+            "3-D": [[[0] * n_cols] * n_rows],
+            "3-D entries": [[[0]] * n_cols] * n_rows,
+            "string element": [["x"] + [0] * (n_cols - 1)] * n_rows,
+            "string rows": ["0" * n_cols] * n_rows,
+            "null element": [[None] + [0] * (n_cols - 1)] * n_rows,
+            # JSON's NaN literal decodes to a float NumPy would accept.
+            "NaN element": [[float("nan")] + [0] * (n_cols - 1)] * n_rows,
+            "empty": [],
+            "empty rows": [[]] * n_rows,
+            "wrong shape": [[0] * n_cols] * (n_rows + 1),
+            "scalar": 1,
+            "object": {"rows": good},
+        }
+        messages = [
+            ({"op": "diagnose", "id": name, "workload": WORKLOAD,
+              "behavior": behavior}, name)
+            for name, behavior in cases.items()
+        ] + [
+            ({"op": "diagnose", "id": f"top_k={top_k!r}",
+              "workload": WORKLOAD, "behavior": good, "top_k": top_k},
+             f"top_k={top_k!r}")
+            for top_k in (True, False, 0, -1, 1.5, "2")
+        ]
+        with _threaded_server(service) as running:
+            import socket
+
+            with socket.create_connection(
+                ("127.0.0.1", running.port), 10
+            ) as sock:
+                reader = sock.makefile("rb")
+                for message, name in messages:
+                    sock.sendall(json.dumps(message).encode() + b"\n")
+                    response = json.loads(reader.readline())
+                    assert response["id"] == name
+                    assert response["ok"] is False, name
+                    assert response["error"]["type"] == "bad_request", name
+                sock.sendall(json.dumps({
+                    "op": "diagnose", "id": "ok", "workload": WORKLOAD,
+                    "behavior": good, "top_k": 2,
+                }).encode() + b"\n")
+                response = json.loads(reader.readline())
+                assert response["ok"] is True
+                reference = _reference_rankings(
+                    service.warm(WORKLOAD), behaviors[:1]
+                )[0]
+                assert response["result"]["ranking"] == reference[:2]
 
     def test_backpressure_and_timeout(self, workload_and_model, behaviors):
         """queue_limit bounds pending work: overflow answers `overloaded`

@@ -404,6 +404,45 @@ class TestHotReload:
         )
         assert service.stats()["workloads"][WORKLOAD]["version"] == 1
 
+    def test_first_answer_after_reload_uses_new_error_stack(
+        self, tmp_path, workload_and_model, behaviors
+    ):
+        """Reload memoizes the new generation's error stack and live rows
+        before publishing it: the first answer after the swap is scored
+        on them, never on generation 0's (whose dead rows it revives)."""
+        from repro.core import by_name
+
+        workload, _model = workload_and_model
+        service, store = self._store_backed(tmp_path, workload)
+        service.diagnose_batch(_requests(behaviors))  # memoize generation 0
+        dead = ~service.workload(WORKLOAD).dictionary.live_rows()
+        assert dead.any()
+        key = service.cache_key(WORKLOAD)
+        payload = store.load(key)
+        m_crt = np.asarray(payload["m_crt"])
+        signatures = [np.array(s) for s in payload["signatures"]]
+        for signature in signatures:
+            signature[dead] += 0.05
+        store.store(key, m_crt, signatures)
+        assert service.reload(WORKLOAD) == 1
+        reloaded = service.workload(WORKLOAD).dictionary
+        assert reloaded._error_stack is not None
+        assert reloaded.live_rows().all()
+
+        # Queries silent on the revived rows: a stale mask would skip them.
+        queries = [np.where(dead[:, None], 0, b) for b in behaviors]
+        function = by_name("alg_rev")
+        first = service.diagnose_batch(_requests(queries))
+        for query, answer in zip(queries, first):
+            scored = [
+                (edge, function(m_crt + signature, query))
+                for edge, signature in zip(workload.suspects, signatures)
+            ]
+            assert answer.version == 1
+            assert answer.ranking == sorted(scored, key=lambda item: item[1])
+        stats = service.stats()["workloads"][WORKLOAD]
+        assert stats["live_rows"] == stats["rows"] == m_crt.shape[0]
+
     def test_reload_without_store_is_typed(self, workload_and_model):
         workload, _model = workload_and_model
         service = _service(workload)
@@ -667,6 +706,47 @@ class TestServerOperations:
                     assert client.ping()
                     answer = client.diagnose(WORKLOAD, behaviors[0])
                     assert answer.ranking
+        assert recorder.counter_value("service.slow_clients") == 1
+
+    def test_stalled_reader_is_disconnected_without_chaos(
+        self, workload_and_model
+    ):
+        """The write deadline arms whenever a reply stays buffered: a peer
+        that keeps sending but never reads is dropped once its socket
+        fills, with no chaos plan involved."""
+        workload, _model = workload_and_model
+        service = _service(workload)
+        recorder = obs.Recorder()
+        requests = b'{"op": "stats", "id": 0}\n' * 64
+        with obs.use_recorder(recorder):
+            with _threaded_server(service, write_timeout=0.2) as (server, _):
+                stalled = socket.socket()
+                stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                stalled.connect(("127.0.0.1", server.port))
+                stalled.settimeout(0.5)
+                deadline = time.monotonic() + 15
+
+                def send_until_cut(stop):
+                    while not stop():
+                        assert time.monotonic() < deadline
+                        try:
+                            stalled.sendall(requests)
+                        except socket.timeout:
+                            pass  # both buffers full: the server is stuck
+
+                try:
+                    send_until_cut(lambda: recorder.counter_value(
+                        "service.slow_clients"))
+                    # Dropped means aborted, not closed: close() would
+                    # wait to flush replies the peer never reads.
+                    with pytest.raises((BrokenPipeError, ConnectionResetError)):
+                        send_until_cut(lambda: False)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # cut before the counter was polled
+                finally:
+                    stalled.close()
+                with ServiceClient("127.0.0.1", server.port) as client:
+                    assert client.ping()
         assert recorder.counter_value("service.slow_clients") == 1
 
     def test_connection_chaos_at_accept_is_counted(self, workload_and_model):
