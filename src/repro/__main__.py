@@ -557,34 +557,47 @@ def cmd_query(args) -> int:
     """One client round trip against a running ``repro serve``."""
     import json
 
-    from .service import ServiceClient
+    from .service import BadRequestError, ServiceClient
+    from .service.server import _decode_behavior
 
-    with ServiceClient(args.host, args.port, timeout=args.timeout) as client:
-        if args.ping:
-            print("pong" if client.ping() else "no pong")
-            return 0
-        if args.stats:
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-            return 0
-        if args.workloads:
-            for name in client.workloads():
-                print(name)
-            return 0
-        if not args.workload or not args.behavior:
-            print("error: need WORKLOAD and --behavior FILE "
-                  "(or --ping/--stats/--workloads)", file=sys.stderr)
-            return EXIT_USAGE
+    def connect() -> ServiceClient:
+        return ServiceClient(args.host, args.port, timeout=args.timeout)
+
+    if args.ping or args.stats or args.workloads:
+        with connect() as client:
+            if args.ping:
+                print("pong" if client.ping() else "no pong")
+            elif args.stats:
+                print(json.dumps(client.stats(), indent=2, sort_keys=True))
+            else:
+                for name in client.workloads():
+                    print(name)
+        return 0
+    if not args.workload or not args.behavior:
+        print("error: need WORKLOAD and --behavior FILE "
+              "(or --ping/--stats/--workloads)", file=sys.stderr)
+        return EXIT_USAGE
+    # Check the matrix the way the server will before connecting: a
+    # malformed file is a usage error, not a traceback.
+    try:
         with open(args.behavior) as handle:
             payload = json.load(handle)
         if isinstance(payload, dict):
-            payload = payload.get("behavior")
+            if "behavior" not in payload:
+                raise BadRequestError('JSON object has no "behavior" key')
+            payload = payload["behavior"]
+        _decode_behavior(payload)
+    except (OSError, ValueError, BadRequestError) as exc:
+        print(f"error: --behavior {args.behavior}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with connect() as client:
         answer = client.diagnose(
             args.workload, payload,
             error_function=args.error_function, top_k=args.top_k,
         )
-        print(f"workload {answer.workload}  method {answer.method}")
-        for rank, (edge, score) in enumerate(answer.ranking, start=1):
-            print(f"  {rank:3d}. {edge:30s} {score:.6g}")
+    print(f"workload {answer.workload}  method {answer.method}")
+    for rank, (edge, score) in enumerate(answer.ranking, start=1):
+        print(f"  {rank:3d}. {edge:30s} {score:.6g}")
     return 0
 
 
@@ -620,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--parallel",
-            choices=("serial", "process", "futures", "thread"),
+            choices=("serial", "process", "thread"),
             default="",
             help="dictionary-construction backend (default: serial)",
         )

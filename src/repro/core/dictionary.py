@@ -53,7 +53,7 @@ from ..circuits.netlist import Circuit, Edge
 from ..timing.critical import simulate_pattern_set
 from ..timing.dynamic import (
     TransitionSimResult,
-    replay_sink,
+    replay_chunk,
     replay_sizes,
 )
 from ..timing.instance import CircuitTiming
@@ -269,24 +269,28 @@ def _signatures_for_chunk(
 ) -> List[np.ndarray]:
     """Signature matrices for one chunk of suspect indices (worker body).
 
-    The chunk's suspects are grouped by sink: every suspect on a sink
-    shares the sink's cone and activity plan, so each (sink, active
-    pattern column) is one :func:`~repro.timing.dynamic.replay_sink` call
-    over all of them, and their error rows come from one vectorized
-    comparison per clock.
+    Every (sink, active pattern column) of the chunk's suspects becomes
+    one request of a single :func:`~repro.timing.dynamic.replay_chunk`
+    call: the suspects on a sink share its cone and activity plan, and
+    the compiled kernel replays every (suspect, column) pair of the chunk
+    in one fused, level-synchronous pass.  The error rows of all of them
+    come from one vectorized comparison per clock and land in a per-chunk
+    signature arena through one scatter.
     """
     n_patterns = len(job.base_simulations)
     results: List[Optional[np.ndarray]] = [None] * len(indices)
     shared_zero: Optional[np.ndarray] = None
-    # Live suspects draw their signature matrices from block allocations:
-    # one lazily-zeroed arena covers many suspects, so the per-suspect
-    # cost is a view instead of an allocate-and-memset of a matrix whose
-    # cells are mostly never written.
-    arena: Optional[np.ndarray] = None
-    arena_used = 0
     by_sink: Dict[str, List[int]] = {}
     for slot, index in enumerate(indices):
         by_sink.setdefault(job.suspects[index].sink, []).append(slot)
+    requests = []
+    # Per request: its suspects' first arena row and count, its pattern
+    # column and the output rows its read-out nets land on.
+    first_live: List[int] = []
+    n_suspects: List[int] = []
+    columns: List[int] = []
+    out_rows: List[np.ndarray] = []
+    live_slots: List[int] = []
     for sink, slots in by_sink.items():
         cone, activity = job.plan_by_sink[sink]
         if not activity:
@@ -300,28 +304,43 @@ def _signatures_for_chunk(
             for slot in slots:
                 results[slot] = shared_zero
             continue
-        signatures = []
-        for slot in slots:
-            if arena is None or arena_used == len(arena):
-                arena = np.zeros((64,) + job.m_crt.shape, dtype=job.m_crt.dtype)
-                arena_used = 0
-            signatures.append(arena[arena_used])
-            results[slot] = arena[arena_used]
-            arena_used += 1
         edge_indices = [job.edge_indices[indices[slot]] for slot in slots]
         for column, rows, nets in activity:
-            stacked = replay_sink(
-                job.base_simulations[column],
-                edge_indices,
-                job.size_samples,
-                cone,
-                nets,
-            )
-            for block, clk in enumerate(job.clks):
-                col = block * n_patterns + column
-                errs = (stacked > clk).mean(axis=2) - job.m_crt[rows, col]
-                for signature, row_errs in zip(signatures, errs):
-                    signature[rows, col] = row_errs
+            requests.append((column, edge_indices, cone, nets))
+            first_live.append(len(live_slots))
+            n_suspects.append(len(slots))
+            columns.append(column)
+            out_rows.append(rows)
+        live_slots.extend(slots)
+    if not requests:
+        return results
+
+    # Live suspects are rows of one zeroed arena: a view per suspect
+    # instead of an allocate-and-memset of a mostly unwritten matrix.
+    arena = np.zeros((len(live_slots),) + job.m_crt.shape, dtype=job.m_crt.dtype)
+    for row, slot in enumerate(live_slots):
+        results[slot] = arena[row]
+    settle = replay_chunk(job.base_simulations, requests, job.size_samples)
+
+    # Settle row q belongs to request r = request[q]; within r it is
+    # suspect e and read-out net j, with q - start[r] = e * n_nets[r] + j.
+    n_nets = np.array([len(rows) for rows in out_rows], dtype=np.int64)
+    per_request = n_nets * np.array(n_suspects, dtype=np.int64)
+    request = np.repeat(np.arange(len(requests)), per_request)
+    start = np.cumsum(per_request) - per_request
+    suspect, net = np.divmod(
+        np.arange(len(settle), dtype=np.int64) - start[request],
+        n_nets[request],
+    )
+    net_start = np.cumsum(n_nets) - n_nets
+    arena_row = np.array(first_live, dtype=np.int64)[request] + suspect
+    out_row = np.concatenate(out_rows)[net_start[request] + net]
+    column = np.array(columns, dtype=np.int64)[request]
+    for block, clk in enumerate(job.clks):
+        col = block * n_patterns + column
+        arena[arena_row, out_row, col] = (
+            (settle > clk).mean(axis=1) - job.m_crt[out_row, col]
+        )
     return results
 
 

@@ -7,8 +7,8 @@ same shape covers per-pattern base simulation.  This module provides the
 executor abstraction those loops fan out through:
 
 * ``serial`` — plain in-process loop (the default; zero overhead),
-* ``process`` / ``futures`` — a ``concurrent.futures.ProcessPoolExecutor``
-  of worker processes (two names kept for config compatibility),
+* ``process`` — a ``concurrent.futures.ProcessPoolExecutor`` of worker
+  processes,
 * ``thread`` — ``concurrent.futures.ThreadPoolExecutor`` (no pickling;
   useful when the payload is huge and the work releases the GIL).
 
@@ -81,7 +81,7 @@ __all__ = [
 T = TypeVar("T")
 
 #: Recognised backend names.
-BACKENDS = ("serial", "process", "futures", "thread")
+BACKENDS = ("serial", "process", "thread")
 
 #: Environment knobs (also set by the CLI flags in ``repro.__main__``).
 ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
@@ -182,7 +182,9 @@ MIN_CHUNK_WORK = 32_768
 #: The ratio crosses 1 between about 0.7M and 1.4M units; repeat runs
 #: move single cells by ±0.1 to ±0.3.  A cold per-chip diagnosis build
 #: (14–34 suspects × 20 patterns × 300 samples, 84k–204k units) sits
-#: well below it.
+#: well below it.  The fused chunk replay that replaced per-sink replay
+#: made the serial path about 2.5x faster, which moves break-even up;
+#: the constant has not been re-measured since.
 POOL_BREAK_EVEN_WORK = 1_000_000
 
 

@@ -73,11 +73,16 @@ _SEEDING_SINKS = {
     "compat_from_seedsequence", "spawn_generator",
 }
 
-#: Reference-kernel entry points only ``timing/`` and ``tests/`` may name
-#: (D106) — everything else must use the dispatching entry points.
-_REFERENCE_KERNEL_NAMES = {
+#: Kernel-variant entry points only ``timing/`` and ``tests/`` may name
+#: (D106) — everything else must use the dispatching entry points, so
+#: ``REPRO_TIMING_KERNEL`` alone selects the kernel.
+_KERNEL_VARIANT_NAMES = {
     "simulate_transition_reference",
     "resimulate_with_extra_reference",
+    "simulate_transition_compiled",
+    "resimulate_with_extra_compiled",
+    "replay_cone_sizes_compiled",
+    "replay_chunk_compiled",
 }
 
 #: Path components in which D106 does not apply: the kernel's own package
@@ -107,11 +112,12 @@ _FLAT_KERNEL_NAMES = {
     "simulate_transition",
     "resimulate_with_extra",
     "replay_sizes",
-    "replay_sink",
+    "replay_chunk",
     "simulate_transition_compiled",
     "resimulate_with_extra_compiled",
     "replay_sizes_compiled",
-    "replay_sink_compiled",
+    "replay_cone_sizes_compiled",
+    "replay_chunk_compiled",
     "simulate_transition_reference",
     "resimulate_with_extra_reference",
 }
@@ -223,10 +229,10 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 self.np_random_members[alias.asname or alias.name] = alias.name
         if not self.d106_exempt:
             for alias in node.names:
-                if alias.name in _REFERENCE_KERNEL_NAMES:
+                if alias.name in _KERNEL_VARIANT_NAMES:
                     self._emit(
                         "D106", node.lineno,
-                        f"imports reference-kernel entry point "
+                        f"imports kernel-variant entry point "
                         f"`{alias.name}` outside timing/ or tests/; use the "
                         "dispatching entry point so REPRO_TIMING_KERNEL "
                         "selects the kernel",
@@ -316,10 +322,10 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 "hierarchical bit-identity seam stays auditable",
             )
         if not self.d106_exempt:
-            if terminal in _REFERENCE_KERNEL_NAMES:
+            if terminal in _KERNEL_VARIANT_NAMES:
                 self._emit(
                     "D106", node.lineno,
-                    f"calls reference-kernel entry point `{terminal}` "
+                    f"calls kernel-variant entry point `{terminal}` "
                     "outside timing/ or tests/; use the dispatching entry "
                     "point so REPRO_TIMING_KERNEL selects the kernel",
                 )

@@ -93,12 +93,14 @@ _CATALOG = (
     ),
     Rule(
         "D106", "reference-kernel-outside-timing", Severity.ERROR, "code",
-        "Calls a reference-kernel entry point (simulate_transition_reference "
-        "/ resimulate_with_extra_reference) outside timing/ or tests/. "
-        "Production code must go through the dispatching entry points "
-        "(simulate_transition / resimulate_with_extra) so REPRO_TIMING_KERNEL "
-        "selects the kernel uniformly; hard-wiring the reference path "
-        "silently forfeits the compiled kernel's speedup.",
+        "Calls a kernel-variant entry point (the *_reference kernel, or a "
+        "*_compiled replay such as replay_chunk_compiled) outside timing/ "
+        "or tests/. Production code must go through the dispatching entry "
+        "points (simulate_transition / resimulate_with_extra / replay_sizes "
+        "/ replay_chunk) so REPRO_TIMING_KERNEL selects the kernel "
+        "uniformly; hard-wiring the reference path silently forfeits the "
+        "compiled kernel's speedup, and hard-wiring a compiled one ignores "
+        "the switch.",
     ),
     # ----------------------------------------------------------- circuit
     Rule(

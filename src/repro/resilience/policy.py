@@ -51,7 +51,6 @@ ENV_NO_DEGRADE = "REPRO_RETRY_NO_DEGRADE"
 DEGRADATION_LADDER = {
     "serial": ("serial",),
     "process": ("process", "thread", "serial"),
-    "futures": ("futures", "thread", "serial"),
     "thread": ("thread", "serial"),
 }
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,13 +63,18 @@ __all__ = [
     "resimulate_with_extra",
     "resimulate_with_extra_reference",
     "replay_sizes",
-    "replay_sink",
+    "replay_chunk",
+    "ReplayRequest",
     "edge_offsets",
     "active_kernel",
     "KERNEL_ENV",
 ]
 
 ExtraDelay = Mapping[int, Union[float, np.ndarray]]
+
+#: One :func:`replay_chunk` request: ``(pattern column, suspect edge
+#: indices on one sink, the sink's fanout cone, read-out nets)``.
+ReplayRequest = Tuple[int, Sequence[int], Iterable[str], Sequence[str]]
 
 #: Environment variable selecting the dynamic-simulation kernel.
 KERNEL_ENV = "REPRO_TIMING_KERNEL"
@@ -340,6 +345,15 @@ def resimulate_with_extra(
     return resimulate_with_extra_reference(base, extra_delay, affected)
 
 
+def _stable_rows(stable: Mapping[str, np.ndarray],
+                 nets: Sequence[str]) -> np.ndarray:
+    """Rows for ``nets`` stacked into one ``(len(nets), width)`` array."""
+    take = getattr(stable, "take_rows", None)
+    if take is not None:
+        return take(nets)
+    return np.stack([stable[net] for net in nets])
+
+
 def replay_sizes(
     base: TransitionSimResult,
     edge_index: int,
@@ -369,49 +383,50 @@ def replay_sizes(
         patched = resimulate_with_extra(
             base, {int(edge_index): sizes}, affected=affected
         )
-        stable = patched.stable
-        take = getattr(stable, "take_rows", None)
-        if take is not None:
-            out[index] = take(nets)
-        else:
-            out[index] = np.stack([stable[net] for net in nets])
+        out[index] = _stable_rows(patched.stable, nets)
     return out
 
 
-def replay_sink(
-    base: TransitionSimResult,
-    edge_indices: Sequence[int],
+def replay_chunk(
+    base_simulations: Sequence[TransitionSimResult],
+    requests: Sequence[ReplayRequest],
     sizes: np.ndarray,
-    affected: Iterable[str],
-    nets: Sequence[str],
 ) -> np.ndarray:
-    """:func:`resimulate_with_extra` for every suspect edge on one sink.
+    """:func:`resimulate_with_extra` for a whole dictionary chunk.
 
-    Returns the ``(len(edge_indices), len(nets), width)`` settle rows of
-    ``nets`` after adding ``sizes`` to each edge in turn — the dictionary
-    builder replays every suspect on a sink against the same pattern and
-    cone.  The compiled kernel runs the cone once over all suspects side
-    by side and skips suspects whose edge is not a candidate pin;
-    otherwise this loops over :func:`resimulate_with_extra`.
-    Bit-identical either way.
+    Each request ``(column, edge_indices, affected, nets)`` replays every
+    edge of ``edge_indices`` in turn, with ``sizes`` added to it, over the
+    cone ``affected`` against ``base_simulations[column]``.  Returns one
+    ``(n_rows, width)`` array: request by request and edge by edge,
+    ``len(nets)`` settle rows each.  The compiled kernel plans each
+    (edge, request) pair down to the part of its cone that can change a
+    read-out net and replays all of them level-synchronously in one fused
+    pass (:func:`repro.timing.kernel.replay_chunk_compiled`); otherwise
+    this loops over :func:`resimulate_with_extra`.  Bit-identical either
+    way.
     """
-    if base.kernel_state is not None and active_kernel() == "compiled":
-        from .kernel import replay_sink_compiled
+    if requests and active_kernel() == "compiled" and all(
+        base_simulations[request[0]].kernel_state is not None
+        for request in requests
+    ):
+        from .kernel import replay_chunk_compiled
 
-        return replay_sink_compiled(base, edge_indices, sizes, affected, nets)
-    nets = list(nets)
-    out = np.empty((len(edge_indices), len(nets), base.width))
-    for index, edge_index in enumerate(edge_indices):
-        patched = resimulate_with_extra(
-            base, {int(edge_index): sizes}, affected=affected
-        )
-        stable = patched.stable
-        take = getattr(stable, "take_rows", None)
-        if take is not None:
-            out[index] = take(nets)
-        else:
-            out[index] = np.stack([stable[net] for net in nets])
-    return out
+        return replay_chunk_compiled(base_simulations, requests, sizes)
+    blocks = []
+    for column, edge_indices, affected, nets in requests:
+        base = base_simulations[column]
+        nets = list(nets)
+        if not nets:
+            continue
+        for edge_index in edge_indices:
+            patched = resimulate_with_extra(
+                base, {int(edge_index): sizes}, affected=affected
+            )
+            blocks.append(_stable_rows(patched.stable, nets))
+    if not blocks:
+        width = base_simulations[0].width if base_simulations else 0
+        return np.empty((0, width))
+    return np.concatenate(blocks)
 
 
 def resimulate_with_extra_reference(

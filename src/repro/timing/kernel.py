@@ -30,10 +30,11 @@ one pattern, so the replayed slice is tiny compared to the circuit.  Cone
 restrictions are cached per schedule, keyed by the identity of the
 (read-only, memoized) cone list the dictionary builder passes, so the
 steady-state replay does no set building and no per-edge scans at all.
-Per-sink batched replay (:func:`replay_sink_compiled`) runs one cone for
-every suspect edge on a shared sink at once, side by side in the sample
-axis, and skips suspects whose edge is not a candidate pin of the
-pattern's schedule.
+The fused chunk replay (:func:`replay_chunk_compiled`) serves the
+dictionary builder: it prunes every (suspect, pattern) replay of a
+signature chunk to the slab of its cone that can reach a read-out net,
+skips suspects whose edge is not a candidate pin of the pattern's
+schedule, and runs all remaining slabs level-synchronously in one pass.
 
 Bit-identity with the reference kernel is a hard contract
 (``tests/test_kernel.py``): min/max reductions are exact selections, and
@@ -54,7 +55,12 @@ import numpy as np
 from ..circuits.library import CONTROLLING_VALUE, GateType
 from ..circuits.netlist import Circuit
 from .. import obs
-from .dynamic import ExtraDelay, TransitionSimResult, edge_offsets
+from .dynamic import (
+    ExtraDelay,
+    ReplayRequest,
+    TransitionSimResult,
+    edge_offsets,
+)
 from .instance import CircuitTiming
 
 __all__ = [
@@ -65,7 +71,7 @@ __all__ = [
     "compile_circuit",
     "simulate_transition_compiled",
     "resimulate_with_extra_compiled",
-    "replay_sink_compiled",
+    "replay_chunk_compiled",
     "SCHEDULE_CACHE_ENV",
     "CONE_CACHE_ENV",
 ]
@@ -200,6 +206,46 @@ class _GroupPlan:
         self.__init__(*state)
 
 
+class _Slab:
+    """One suspect's propagation slab inside a cone schedule.
+
+    The slab is the set of cone groups (overlay rows) the suspect edge can
+    change — forward-reachable from the edge's own group through
+    recomputed drivers — that can also reach one of the read-out nets.
+    Every other cone group recomputes to its base row bit for bit, so a
+    fused replay evaluates only the slab and reads the rest from the
+    base matrix.
+
+    Per slab group (cone order): ``step`` is its ordinal among the slab's
+    distinct level steps, ``is_min`` marks a min group and ``lens`` its
+    candidate-edge count.  Per slab edge row (group order, pin order):
+    ``edges`` / ``sources`` are the edge index and driver net row, and
+    ``inside`` the slab-local group that recomputes the driver (-1: read
+    the base row).  ``suspect`` is the suspect edge's row.  Per read-out
+    net: ``read_local`` is its slab-local group (-1: base row
+    ``read_rows``).  An empty slab (``n_groups == 0``) reads every net
+    from the base.
+    """
+
+    __slots__ = ("step", "is_min", "lens", "edges", "sources", "inside",
+                 "suspect", "read_local", "read_rows", "n_groups", "n_edges")
+
+    def __init__(self, read_local, read_rows, step=None, is_min=None, lens=None,
+                 edges=None, sources=None, inside=None, suspect=-1):
+        empty = np.empty(0, dtype=np.int64)
+        self.step = empty if step is None else step
+        self.is_min = np.empty(0, dtype=bool) if is_min is None else is_min
+        self.lens = empty if lens is None else lens
+        self.edges = empty if edges is None else edges
+        self.sources = empty if sources is None else sources
+        self.inside = empty if inside is None else inside
+        self.suspect = suspect
+        self.read_local = read_local
+        self.read_rows = read_rows
+        self.n_groups = len(self.step)
+        self.n_edges = len(self.edges)
+
+
 class _ConeSchedule:
     """A pattern schedule filtered to one fanout cone.
 
@@ -212,10 +258,15 @@ class _ConeSchedule:
     in replay order) overlay destination, and the leading ``neg_rows``
     rows / ``neg_groups`` groups are the fused min reductions (see
     :class:`_GroupPlan`).
+
+    The fused chunk replay (:func:`replay_chunk_compiled`) also keeps the
+    same steps as flat per-group / per-edge arrays and the per-(suspect
+    row, read-out nets) :class:`_Slab` plans here, so both live and die
+    with the schedule's cone LRU.
     """
 
     __slots__ = ("edges", "sources", "steps", "n_overlay", "overlay_rows",
-                 "_edge_pos")
+                 "_edge_pos", "_flat", "_slabs")
 
     def __init__(self, edges, sources, steps, n_overlay, overlay_rows):
         self.edges = edges
@@ -225,6 +276,8 @@ class _ConeSchedule:
         #: net name -> overlay row, for the recomputed transitioning gates.
         self.overlay_rows = overlay_rows
         self._edge_pos: Optional[Dict[int, int]] = None
+        self._flat: Optional[Tuple[np.ndarray, ...]] = None
+        self._slabs: Dict[Tuple[int, Tuple[str, ...]], _Slab] = {}
 
     @property
     def edge_pos(self) -> Dict[int, int]:
@@ -236,6 +289,114 @@ class _ConeSchedule:
                 int(edge): index for index, edge in enumerate(self.edges)
             }
         return pos
+
+    def flat(self) -> Tuple[np.ndarray, ...]:
+        """``steps`` as flat arrays (built on first use):
+        ``(group_step, group_neg, group_start, group_len, edge_group,
+        edge_inside, inside_rows, inside_bounds)``.
+
+        Per group: its step index, fused-min flag and edge segment.  Per
+        edge row: its group and the overlay row of its recomputed driver
+        (-1 when the driver is a base row).  ``inside_rows`` lists the
+        rows with a recomputed driver; step ``k``'s share of it is
+        ``inside_rows[inside_bounds[k] : inside_bounds[k + 1]]``.
+        """
+        flat = self._flat
+        if flat is None:
+            n_groups = self.n_overlay
+            n_edges = len(self.edges)
+            group_step = np.empty(n_groups, dtype=np.int64)
+            group_neg = np.zeros(n_groups, dtype=bool)
+            group_start = np.empty(n_groups, dtype=np.int64)
+            group_len = np.empty(n_groups, dtype=np.int64)
+            edge_group = np.empty(n_edges, dtype=np.int64)
+            edge_inside = np.full(n_edges, -1, dtype=np.int64)
+            inside_bounds = np.zeros(len(self.steps) + 1, dtype=np.int64)
+            for k, (lo, hi, starts, inside_pos, inside_src, out_lo, out_hi,
+                    _neg_rows, neg_groups) in enumerate(self.steps):
+                group_step[out_lo:out_hi] = k
+                group_neg[out_lo : out_lo + neg_groups] = True
+                seg_start = lo + starts
+                seg_len = np.diff(np.append(seg_start, hi))
+                group_start[out_lo:out_hi] = seg_start
+                group_len[out_lo:out_hi] = seg_len
+                edge_group[lo:hi] = np.repeat(
+                    np.arange(out_lo, out_hi, dtype=np.int64), seg_len
+                )
+                count = 0
+                if inside_pos is not None:
+                    edge_inside[inside_pos] = inside_src
+                    count = len(inside_pos)
+                inside_bounds[k + 1] = inside_bounds[k] + count
+            inside_rows = np.flatnonzero(edge_inside >= 0)
+            flat = self._flat = (group_step, group_neg, group_start, group_len,
+                                 edge_group, edge_inside, inside_rows,
+                                 inside_bounds)
+        return flat
+
+    def slab(self, pos: int, nets: Tuple[str, ...],
+             net_rows: Dict[str, int]) -> _Slab:
+        """The (cached) :class:`_Slab` of the suspect at edge row ``pos``
+        (-1: not a candidate pin) read out at ``nets``."""
+        key = (pos, nets)
+        slab = self._slabs.get(key)
+        if slab is None:
+            # Threads racing here build equal slabs; either one may stay.
+            slab = self._slabs[key] = self._build_slab(pos, nets, net_rows)
+        return slab
+
+    def _build_slab(self, pos, nets, net_rows) -> _Slab:
+        read_rows = np.array([net_rows[net] for net in nets], dtype=np.int64)
+        overlay_rows = self.overlay_rows
+        read_cone = np.array(
+            [overlay_rows.get(net, -1) for net in nets], dtype=np.int64
+        )
+        no_slab = np.full(len(nets), -1, dtype=np.int64)
+        if pos < 0:
+            return _Slab(no_slab, read_rows)
+        (group_step, group_neg, group_start, group_len, edge_group,
+         edge_inside, inside_rows, inside_bounds) = self.flat()
+        n_groups = self.n_overlay
+        # Forward: groups whose value the suspect's delay can change.
+        # Drivers sit at strictly lower steps, so one ascending pass over
+        # the steps settles every group before any reader consults it.
+        forward = np.zeros(n_groups, dtype=bool)
+        forward[edge_group[pos]] = True
+        n_steps = len(self.steps)
+        for k in range(int(group_step[edge_group[pos]]) + 1, n_steps):
+            rows = inside_rows[inside_bounds[k] : inside_bounds[k + 1]]
+            hit = rows[forward[edge_inside[rows]]]
+            forward[edge_group[hit]] = True
+        # Backward: groups some read-out net depends on.
+        need = np.zeros(n_groups, dtype=bool)
+        need[read_cone[read_cone >= 0]] = True
+        for k in range(n_steps - 1, 0, -1):
+            rows = inside_rows[inside_bounds[k] : inside_bounds[k + 1]]
+            hit = rows[need[edge_group[rows]]]
+            need[edge_inside[hit]] = True
+        groups = np.flatnonzero(forward & need)
+        if not groups.size:
+            return _Slab(no_slab, read_rows)
+        local = np.full(n_groups, -1, dtype=np.int64)
+        local[groups] = np.arange(len(groups), dtype=np.int64)
+        cone_step = group_step[groups]
+        step = np.zeros(len(groups), dtype=np.int64)
+        np.cumsum(cone_step[1:] != cone_step[:-1], out=step[1:])
+        lens = group_len[groups]
+        take = np.repeat(group_start[groups] - _exclusive_cumsum(lens), lens)
+        take += np.arange(len(take), dtype=np.int64)
+        inside = edge_inside[take]
+        return _Slab(
+            np.where(read_cone >= 0, local[read_cone], -1),
+            read_rows,
+            step=step,
+            is_min=group_neg[groups],
+            lens=lens,
+            edges=self.edges[take],
+            sources=self.sources[take],
+            inside=np.where(inside >= 0, local[inside], -1),
+            suspect=int(np.flatnonzero(take == pos)[0]),
+        )
 
 
 class PatternSchedule:
@@ -688,9 +849,6 @@ def _run_cone_steps(
     clobbered) and ``dl`` the matching delays.  Rows whose driver is
     recomputed get re-summed from the overlay once that overlay row
     exists (drivers sit at strictly lower levels, i.e. in earlier steps).
-    Every operation acts on one column at a time, so any number of
-    side-by-side replays can share one call (see
-    :func:`replay_sink_compiled`).
     """
     for (lo, hi, starts, inside_pos, inside_src, out_lo, out_hi,
             neg_rows, neg_groups) in cone.steps:
@@ -861,102 +1019,278 @@ def replay_cone_sizes_compiled(
     return out
 
 
-def replay_sink_compiled(
-    base: TransitionSimResult,
-    edge_indices: Sequence[int],
+#: Cells (slab edge rows x samples) one fused pass holds per work array
+#: (1 MB of float64).  A chunk whose live instances need more runs in
+#: several passes, so a full-edge dictionary's chunk stays bounded in
+#: memory.  On ``perfbench``'s ``volume`` chips, 2**17 gave about 9 MB
+#: less peak RSS than 2**19 at the same speed; 2**16 was slower.
+_FUSED_PASS_CELLS = 1 << 17
+
+
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=out[1:])
+    return out
+
+
+def _split_by_column(columns: np.ndarray) -> List[Tuple[int, int, int]]:
+    """``(column, lo, hi)`` runs of a column-sorted array."""
+    if not len(columns):
+        return []
+    cuts = (np.flatnonzero(columns[1:] != columns[:-1]) + 1).tolist()
+    bounds = [0] + cuts + [len(columns)]
+    return [
+        (int(columns[lo]), lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _fused_pass(
+    matrices: Sequence[np.ndarray],
+    delays: np.ndarray,
     sizes: np.ndarray,
-    affected: Iterable[str],
-    nets: Sequence[str],
-) -> np.ndarray:
-    """One cone replay for every suspect edge on a shared sink.
+    instances: Sequence[Tuple[int, _Slab, int]],
+    out: np.ndarray,
+) -> None:
+    """Replay the slabs of ``instances`` (column-sorted) level-synchronously
+    and write their slab read-outs into ``out``.
 
-    Returns the ``(len(edge_indices), len(nets), width)`` settle rows of
-    ``nets`` after adding ``sizes`` to each edge in turn — the dictionary
-    builder's per-(sink, pattern) inner loop.  The suspects' replays sit
-    side by side in one ``(n_edges, K * width)`` stack and the cone's
-    level steps run once over it.  Add, negate and
-    ``np.maximum.reduceat(axis=0)`` each act on one column at a time, so
-    every block of ``width`` columns is bit-identical to calling
-    :func:`resimulate_with_extra_compiled` with ``{edge: sizes}`` and
-    taking ``stable.take_rows(nets)``.
-
-    A suspect whose edge is not a candidate pin of this pattern's cone
-    schedule cannot change any settle time; it gets the base rows without
-    a replay (``kernel.replays_skipped``).  That shortcut needs ``base``
-    to be a simulation without extra delay — replaying its unperturbed
-    cone then reproduces the base rows exactly — as every dictionary base
-    simulation is.
+    Every instance's slab edge rows are stacked along the row axis of one
+    ``(n_edges, width)`` matrix, ordered by (slab step, pin index, min
+    before max, longest group first).  Within a step, the pin-0 rows of
+    all groups are contiguous and double as the groups' accumulators; the
+    pin-``j`` rows of the groups with more than ``j`` candidates sit in
+    one contiguous block per reduction kind, right under their
+    accumulators' prefix.  One global step therefore runs the
+    same-ordinal step of every instance: one inside-row re-sum, then one
+    ``np.minimum`` / ``np.maximum`` per (pin index, kind) over contiguous
+    slices.  Each group folds its own candidates in pin order,
+    ``acc = op(acc, x_j)`` — the order ``ufunc.reduceat`` folds a segment
+    in — so every value is bit-identical to its solo cone replay.
     """
-    schedule = base.kernel_state
-    if not isinstance(schedule, PatternSchedule):
-        raise TypeError("base result does not carry a compiled-kernel schedule")
-    base_stable = base.stable
-    if not isinstance(base_stable, StableTimes):
-        raise TypeError("compiled re-simulation requires a compiled base result")
-    if not hasattr(affected, "__len__"):
-        affected = set(affected)
-    nets = list(nets)
-    width = base.width
-    n_suspects = len(edge_indices)
-    out = np.empty((n_suspects, len(nets), width))
-    if not affected or not n_suspects:
-        out[:] = base_stable.take_rows(nets)
-        return out
+    width = out.shape[1]
+    slabs = [slab for _column, slab, _offset in instances]
+    g_count = np.array([slab.n_groups for slab in slabs], dtype=np.int64)
+    e_count = np.array([slab.n_edges for slab in slabs], dtype=np.int64)
+    g_off = _exclusive_cumsum(g_count)
+    e_off = _exclusive_cumsum(e_count)
+    step = np.concatenate([slab.step for slab in slabs])
+    is_max = ~np.concatenate([slab.is_min for slab in slabs])
+    lens = np.concatenate([slab.lens for slab in slabs])
+    edges = np.concatenate([slab.edges for slab in slabs])
+    sources = np.concatenate([slab.sources for slab in slabs])
+    inside = np.concatenate([slab.inside for slab in slabs])
+    has_inside = inside >= 0
+    inside[has_inside] += np.repeat(g_off, e_count)[has_inside]
+    suspects = e_off + np.array([slab.suspect for slab in slabs],
+                                dtype=np.int64)
+    n_groups = len(step)
+    n_edges = len(edges)
 
-    cone = schedule.cone_for(affected)
-    edge_pos = cone.edge_pos
-    live = []
-    positions = []
-    for slot, edge_index in enumerate(edge_indices):
-        pos = edge_pos.get(int(edge_index))
-        if pos is not None:
-            live.append(slot)
-            positions.append(pos)
-    overlay_rows = cone.overlay_rows
-    row_index = [overlay_rows.get(net) for net in nets]
-    if len(live) < n_suspects or None in row_index:
-        out[:] = base_stable.take_rows(nets)
-    recorder = obs.get_recorder()
-    n_live = len(live)
-    if recorder.enabled:
-        if n_live < n_suspects:
-            recorder.count("kernel.replays_skipped", n_suspects - n_live)
-        if n_live:
-            recorder.count("dynamic.resimulations", n_live)
-            recorder.count("dynamic.nets_recomputed", len(affected) * n_live)
-            recorder.count("kernel.reductions", len(cone.edges) * n_live)
-    if not n_live:
-        return out
+    # Row layout: groups ranked within their step (min first, longest
+    # first), edge rows sorted by (step, pin, group rank).
+    group_of = np.repeat(np.arange(n_groups, dtype=np.int64), lens)
+    g_start = _exclusive_cumsum(lens)
+    pin = np.arange(n_edges, dtype=np.int64) - g_start[group_of]
+    rank = np.empty(n_groups, dtype=np.int64)
+    rank[np.lexsort((-lens, is_max, step))] = np.arange(n_groups)
+    edge_step = step[group_of]
+    order = np.lexsort((rank[group_of], pin, edge_step))
+    row_of = np.empty(n_edges, dtype=np.int64)
+    row_of[order] = np.arange(n_edges, dtype=np.int64)
+    acc = row_of[g_start]
 
-    timing = base.timing
-    delays = (
-        timing.delays
-        if base.sample_index is None
-        else timing.delays[:, base.sample_index : base.sample_index + 1]
-    )
-    sizes = np.asarray(sizes)
-    dl = delays[cone.edges]
-    sources = base_stable.matrix[cone.sources]
-    if n_live == 1:
-        dl[positions[0]] = dl[positions[0]] + sizes
-        rows = sources
-    else:
-        # Replay b owns columns [b * width, (b + 1) * width).
-        n_edges = len(cone.edges)
-        stacked = np.empty((n_edges, n_live * width))
-        stacked.reshape(n_edges, n_live, width)[:] = dl[:, None, :]
-        for block, pos in enumerate(positions):
-            stacked[pos, block * width : (block + 1) * width] = dl[pos] + sizes
-        dl = stacked
-        rows = np.empty_like(dl)
-        rows.reshape(n_edges, n_live, width)[:] = sources[:, None, :]
+    # Driver rows, one gather per pattern matrix (instances are sorted by
+    # column, so each column's edge rows are one contiguous input block),
+    # scattered straight into the row layout; then ``+ delay`` in place.
+    rows = np.empty((n_edges, width))
+    columns = np.array([column for column, _slab, _offset in instances],
+                       dtype=np.int64)
+    for column, lo, hi in _split_by_column(columns):
+        e_lo = int(e_off[lo])
+        e_hi = int(e_off[hi - 1] + e_count[hi - 1])
+        rows[row_of[e_lo:e_hi]] = matrices[column][sources[e_lo:e_hi]]
+    dl = delays[edges[order]]
+    suspect_rows = row_of[suspects]
+    dl[suspect_rows] = dl[suspect_rows] + sizes
     rows += dl
-    overlay = np.empty((cone.n_overlay, n_live * width))
-    _run_cone_steps(cone, rows, dl, overlay)
+    inside = inside[order]
+    inside_rows = np.flatnonzero(inside >= 0)
+    inside_acc = acc[inside[inside_rows]]
+    inside_dl = dl[inside_rows]
 
-    columns = [column for column, row in enumerate(row_index) if row is not None]
-    if columns:
-        replayed = overlay[[row_index[column] for column in columns]]
-        for block, slot in enumerate(live):
-            out[slot, columns] = replayed[:, block * width : (block + 1) * width]
+    # Per step: its slice of the re-summed rows, and one fold per run of
+    # (pin > 0, kind) rows into the matching prefix of its accumulators.
+    edge_step = edge_step[order]
+    pin = pin[order]
+    kind = is_max[group_of[order]]
+    step_cut = np.flatnonzero(edge_step[1:] != edge_step[:-1]) + 1
+    run_cut = np.union1d(step_cut, np.flatnonzero(
+        (pin[1:] != pin[:-1]) | (kind[1:] != kind[:-1])
+    ) + 1)
+    run_lo = np.concatenate(([0], run_cut))
+    run_hi = np.append(run_cut, n_edges)
+    i_bounds = np.searchsorted(
+        inside_rows, np.concatenate(([0], step_cut, [n_edges]))
+    ).tolist()
+    program = []
+    for run_step, run_pin, run_kind, lo, hi in zip(
+        edge_step[run_lo].tolist(), pin[run_lo].tolist(),
+        kind[run_lo].tolist(), run_lo.tolist(), run_hi.tolist(),
+    ):
+        if run_step == len(program):
+            first, n_min, ops = lo, 0, []
+            program.append((i_bounds[run_step], i_bounds[run_step + 1], ops))
+        if run_pin == 0:
+            if not run_kind:
+                n_min = hi - lo
+            continue
+        start = first + (n_min if run_kind else 0)
+        ops.append((np.maximum if run_kind else np.minimum,
+                    start, start + hi - lo, lo, hi))
+
+    for i_lo, i_hi, ops in program:
+        if i_hi > i_lo:
+            rows[inside_rows[i_lo:i_hi]] = (
+                rows[inside_acc[i_lo:i_hi]] + inside_dl[i_lo:i_hi]
+            )
+        for fold, a, b, lo, hi in ops:
+            fold(rows[a:b], rows[lo:hi], out=rows[a:b])
+
+    # Read-out: one gather of every (instance, net) row the slabs own.
+    read_local = np.concatenate([slab.read_local for slab in slabs])
+    counts = np.array([len(slab.read_local) for slab in slabs],
+                      dtype=np.int64)
+    offsets = np.array([offset for _column, _slab, offset in instances],
+                       dtype=np.int64)
+    position = np.repeat(offsets - _exclusive_cumsum(counts), counts)
+    position += np.arange(len(read_local), dtype=np.int64)
+    owned = read_local >= 0
+    local = read_local[owned] + np.repeat(g_off, counts)[owned]
+    out[position[owned]] = rows[acc[local]]
+
+
+def replay_chunk_compiled(
+    base_simulations: Sequence[TransitionSimResult],
+    requests: Sequence[ReplayRequest],
+    sizes: np.ndarray,
+) -> np.ndarray:
+    """Fused cone replays for a whole dictionary chunk.
+
+    Each request ``(column, edge_indices, affected, nets)`` asks for the
+    settle rows of ``nets`` after adding ``sizes`` to each edge of
+    ``edge_indices`` in turn, replayed over the cone ``affected`` against
+    ``base_simulations[column]``.  Returns one ``(n_rows, width)`` array
+    holding, request by request and edge by edge, ``len(nets)`` rows each
+    — bit-identical to ``resimulate_with_extra(base, {edge: sizes},
+    affected=affected).stable.take_rows(nets)`` per (request, edge).
+
+    Plan: every (edge, request) pair whose edge is a candidate pin of the
+    pattern's cone schedule is one *instance*, reduced to its
+    :class:`_Slab` — the cone groups the edge can change that also reach a
+    read-out net.  Execute: the instances' slabs replay together, one
+    level step at a time, in passes bounded by :data:`_FUSED_PASS_CELLS`
+    (:func:`_fused_pass`).  Rows outside a slab, and every row of a pair
+    whose edge is not a candidate pin (``kernel.replays_skipped``) or
+    whose slab is empty, are read from the base matrix: replaying the
+    unperturbed part of a cone reproduces the base rows exactly.  That
+    needs the bases to be simulations without extra delay, as every
+    dictionary base simulation is, sharing one timing model and sample
+    selection.
+    """
+    sizes = np.asarray(sizes)
+    first = None
+    plans: List[Tuple[int, _Slab, int]] = []
+    n_rows = 0
+    skipped = live = recomputed = 0
+    for column, edge_indices, affected, nets in requests:
+        if not len(edge_indices):
+            continue
+        base = base_simulations[column]
+        schedule = base.kernel_state
+        if not isinstance(schedule, PatternSchedule):
+            raise TypeError(
+                "base result does not carry a compiled-kernel schedule"
+            )
+        if not isinstance(base.stable, StableTimes):
+            raise TypeError(
+                "compiled re-simulation requires a compiled base result"
+            )
+        if first is None:
+            first = base
+        elif (base.timing is not first.timing
+              or base.sample_index != first.sample_index):
+            raise ValueError(
+                "fused replay needs one timing model and sample selection"
+            )
+        nets = tuple(nets)
+        net_rows = schedule.compiled.net_rows
+        if not hasattr(affected, "__len__"):
+            affected = set(affected)
+        cone = schedule.cone_for(affected)
+        edge_pos = cone.edge_pos
+        for edge in edge_indices:
+            pos = edge_pos.get(int(edge), -1)
+            plans.append((column, cone.slab(pos, nets, net_rows), n_rows))
+            n_rows += len(nets)
+            if pos < 0:
+                skipped += 1
+            else:
+                live += 1
+                recomputed += len(affected)
+    if first is None:
+        return np.empty((0, base_simulations[0].width if base_simulations
+                         else 0))
+    width = first.width
+    out = np.empty((n_rows, width))
+    matrices = [
+        getattr(base.stable, "matrix", None) for base in base_simulations
+    ]
+
+    # Base rows for every read-out a slab does not own, one gather per
+    # pattern matrix.
+    read_local = np.concatenate([slab.read_local for _c, slab, _o in plans])
+    read_rows = np.concatenate([slab.read_rows for _c, slab, _o in plans])
+    counts = [len(slab.read_local) for _c, slab, _o in plans]
+    row_column = np.repeat(
+        np.array([column for column, _s, _o in plans], dtype=np.int64), counts
+    )
+    fallback = np.flatnonzero(read_local < 0)
+    fallback = fallback[np.argsort(row_column[fallback], kind="stable")]
+    for column, lo, hi in _split_by_column(row_column[fallback]):
+        positions = fallback[lo:hi]
+        out[positions] = matrices[column][read_rows[positions]]
+
+    instances = sorted(
+        (plan for plan in plans if plan[1].n_groups),
+        key=lambda plan: plan[0],
+    )
+    reductions = 0
+    if instances:
+        timing = first.timing
+        delays = (
+            timing.delays
+            if first.sample_index is None
+            else timing.delays[:, first.sample_index : first.sample_index + 1]
+        )
+        budget = max(1, _FUSED_PASS_CELLS // width)
+        batch: List[Tuple[int, _Slab, int]] = []
+        batch_rows = 0
+        for plan in instances:
+            n_edges = plan[1].n_edges
+            if batch and batch_rows + n_edges > budget:
+                _fused_pass(matrices, delays, sizes, batch, out)
+                batch, batch_rows = [], 0
+            batch.append(plan)
+            batch_rows += n_edges
+            reductions += n_edges
+        _fused_pass(matrices, delays, sizes, batch, out)
+
+    recorder = obs.get_recorder()
+    if recorder.enabled:
+        if skipped:
+            recorder.count("kernel.replays_skipped", skipped)
+        if live:
+            recorder.count("dynamic.resimulations", live)
+            recorder.count("dynamic.nets_recomputed", recomputed)
+            recorder.count("kernel.reductions", reductions)
     return out

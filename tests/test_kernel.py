@@ -11,6 +11,7 @@ fails this file.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
 from repro.circuits import GeneratorConfig, generate_circuit, load_benchmark
@@ -223,113 +224,375 @@ class TestResimulationIdentical:
 
 
 # ----------------------------------------------------------------------
-# per-sink batched replay (the dictionary builder's inner loop)
+# fused chunk replay (the dictionary builder's inner loop)
 # ----------------------------------------------------------------------
-def _sink_cases(timing, n_vectors, seed):
-    """``(base, edge_indices, cone, nets)`` per (pattern, sink with 2-4
-    fanin edges that the pattern toggles)."""
+def _sink_cases(timing, n_vectors, seed, sample_index=None):
+    """``(bases, requests)``: one fused chunk over ``n_vectors`` patterns,
+    one ``(column, edge_indices, cone, nets)`` request per (pattern, sink
+    with 2-4 fanin edges that the pattern toggles)."""
     circuit = timing.circuit
+    outputs = set(circuit.outputs)
     by_sink = {}
     for edge in circuit.edges:
         by_sink.setdefault(edge.sink, []).append(timing.edge_index[edge])
     groups = {sink: edges for sink, edges in by_sink.items()
               if 2 <= len(edges) <= 4}
-    cases = []
-    for v1, v2 in _vectors(circuit, seed, n_vectors):
-        base = simulate_transition(timing, v1, v2)
+    bases = []
+    requests = []
+    for column, (v1, v2) in enumerate(_vectors(circuit, seed, n_vectors)):
+        base = simulate_transition(timing, v1, v2, sample_index=sample_index)
+        bases.append(base)
         for sink, edges in groups.items():
             if not base.transitioned(sink):
                 continue
             cone = circuit.fanout_cone(sink)
-            nets = [net for net in cone if net in set(circuit.outputs)]
-            cases.append((base, edges, cone, nets + [sink]))
-    return cases
+            nets = [net for net in cone if net in outputs]
+            requests.append((column, edges, cone, nets + [sink]))
+    return bases, requests
 
 
-def _per_suspect(base, edges, sizes, cone, nets):
-    return np.stack([
-        resimulate_with_extra(base, {edge: sizes}, affected=cone)
-        .stable.take_rows(nets)
+def _rows(stable, nets):
+    take = getattr(stable, "take_rows", None)
+    if take is not None:
+        return take(nets)
+    return np.stack([stable[net] for net in nets])
+
+
+def _per_suspect(bases, requests, sizes):
+    """The oracle: one ``resimulate_with_extra`` per (suspect, request)."""
+    blocks = [
+        _rows(
+            resimulate_with_extra(
+                bases[column], {edge: sizes}, affected=cone
+            ).stable,
+            nets,
+        )
+        for column, edges, cone, nets in requests
         for edge in edges
-    ])
+    ]
+    return np.concatenate(blocks)
 
 
 class TestSinkReplayIdentical:
-    """``replay_sink`` == one ``resimulate_with_extra`` per suspect edge."""
+    """``replay_chunk`` == one ``resimulate_with_extra`` per (suspect,
+    pattern), for a whole chunk of sinks and patterns at once."""
 
     @pytest.mark.parametrize("timing_name", ["small_timing", "bench_timing"])
     def test_matches_per_suspect_replays(self, request, timing_name):
-        from repro.timing.dynamic import replay_sink
+        from repro.timing.dynamic import replay_chunk
 
         timing = request.getfixturevalue(timing_name)
         sizes = np.random.default_rng(4).uniform(
             0.0, 2.0, timing.space.n_samples
         )
-        cases = _sink_cases(timing, 3, seed=11)
-        assert cases
+        bases, requests = _sink_cases(timing, 3, seed=11)
+        assert requests
         recorder = obs.Recorder()
         with obs.use_recorder(recorder):
-            for base, edges, cone, nets in cases:
-                batched = replay_sink(base, edges, sizes, cone, nets)
-                assert batched.shape == (len(edges), len(nets), base.width)
-                assert np.array_equal(
-                    batched, _per_suspect(base, edges, sizes, cone, nets)
-                )
+            fused = replay_chunk(bases, requests, sizes)
+        want = _per_suspect(bases, requests, sizes)
+        assert fused.shape == want.shape == (
+            sum(len(edges) * len(nets) for _c, edges, _cone, nets in requests),
+            timing.space.n_samples,
+        )
+        assert fused.tobytes() == want.tobytes()
+        # one request at a time gives the same rows as the fused chunk
+        single = np.concatenate([
+            replay_chunk(bases, [one], sizes) for one in requests
+        ])
+        assert single.tobytes() == want.tobytes()
         # some (suspect, pattern) pairs are non-candidate pins: their rows
         # came from the base simulation without a replay, still identical
         assert recorder.counter_value("kernel.replays_skipped") > 0
         assert recorder.counter_value("dynamic.resimulations") > 0
 
     def test_non_candidate_pins_return_base_rows(self, small_timing):
-        from repro.timing.kernel import replay_sink_compiled
+        from repro.timing.kernel import replay_chunk_compiled
 
         sizes = np.full(small_timing.space.n_samples, 1.5)
+        bases, requests = _sink_cases(small_timing, 4, seed=2)
+        fused = replay_chunk_compiled(bases, requests, sizes)
         skipped = 0
-        for base, edges, cone, nets in _sink_cases(small_timing, 4, seed=2):
+        offset = 0
+        for column, edges, cone, nets in requests:
+            base = bases[column]
             candidates = base.kernel_state.cone_for(cone).edge_pos
-            batched = replay_sink_compiled(base, edges, sizes, cone, nets)
-            for slot, edge in enumerate(edges):
+            for edge in edges:
+                block = fused[offset : offset + len(nets)]
+                offset += len(nets)
                 if edge in candidates:
                     continue
                 skipped += 1
-                assert np.array_equal(
-                    batched[slot], base.stable.take_rows(nets)
-                )
+                assert block.tobytes() == base.stable.take_rows(nets).tobytes()
+        assert offset == len(fused)
         assert skipped
 
     def test_reference_kernel(self, small_timing, monkeypatch):
-        from repro.timing.dynamic import replay_sink
+        from repro.timing.dynamic import replay_chunk
 
         sizes = np.full(small_timing.space.n_samples, 0.7)
-        compiled = [
-            replay_sink(base, edges, sizes, cone, nets)
-            for base, edges, cone, nets in _sink_cases(small_timing, 2, 5)
-        ]
+        compiled = replay_chunk(*_sink_cases(small_timing, 2, 5), sizes)
         monkeypatch.setenv("REPRO_TIMING_KERNEL", "reference")
-        cases = _sink_cases(small_timing, 2, 5)
-        assert all(base.kernel_state is None for base, *_rest in cases)
-        for want, (base, edges, cone, nets) in zip(compiled, cases):
-            assert np.array_equal(
-                replay_sink(base, edges, sizes, cone, nets), want
-            )
+        bases, requests = _sink_cases(small_timing, 2, 5)
+        assert all(base.kernel_state is None for base in bases)
+        reference = replay_chunk(bases, requests, sizes)
+        assert reference.tobytes() == compiled.tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 2_000])
+    def test_row_budget_splits_passes(self, bench_timing, monkeypatch, cells):
+        """A chunk split into many passes (one instance each, or a few)
+        reads out exactly what one pass does."""
+        from repro.timing import kernel
+        from repro.timing.dynamic import replay_chunk
+
+        sizes = np.random.default_rng(6).uniform(
+            0.0, 2.0, bench_timing.space.n_samples
+        )
+        bases, requests = _sink_cases(bench_timing, 2, seed=3)
+        one_pass = replay_chunk(bases, requests, sizes)
+        monkeypatch.setattr(kernel, "_FUSED_PASS_CELLS", cells)
+        calls = []
+        fused_pass = kernel._fused_pass
+        monkeypatch.setattr(
+            kernel, "_fused_pass",
+            lambda *args: calls.append(len(args[3])) or fused_pass(*args),
+        )
+        split = replay_chunk(bases, requests, sizes)
+        assert len(calls) > 1
+        if cells == 1:
+            assert set(calls) == {1}
+        assert split.tobytes() == one_pass.tobytes()
 
     def test_instance_width_and_empty_inputs(self, small_timing):
-        from repro.timing.dynamic import replay_sink
+        from repro.timing.dynamic import replay_chunk
 
-        full, edges, cone, _nets = _sink_cases(small_timing, 3, seed=11)[0]
-        nets = list(cone)
         for sample_index in (None, 4):
-            base = simulate_transition(
-                small_timing, full.v1, full.v2, sample_index=sample_index
+            bases, requests = _sink_cases(
+                small_timing, 3, seed=11, sample_index=sample_index
             )
-            sizes = np.full(base.width, 0.6)
-            assert np.array_equal(
-                replay_sink(base, edges, sizes, cone, nets),
-                _per_suspect(base, edges, sizes, cone, nets),
+            width = bases[0].width
+            sizes = np.full(width, 0.6)
+            # read out the whole cone, not only its outputs
+            requests = [(column, edges, cone, list(cone))
+                        for column, edges, cone, _nets in requests]
+            assert (
+                replay_chunk(bases, requests, sizes).tobytes()
+                == _per_suspect(bases, requests, sizes).tobytes()
             )
-            assert replay_sink(base, [], sizes, cone, nets).shape == (
-                0, len(nets), base.width
-            )
+            column, _edges, cone, nets = requests[0]
+            assert replay_chunk(
+                bases, [(column, [], cone, nets)], sizes
+            ).shape == (0, width)
+            assert replay_chunk(bases, [], sizes).shape == (0, width)
+
+
+# ----------------------------------------------------------------------
+# fused chunk replay: property tests
+# ----------------------------------------------------------------------
+def _chunk_requests(timing, n_columns, rng):
+    """A random dictionary chunk over ``n_columns`` patterns.
+
+    Sinks share requests with every (or a prefix of their) fanin edges;
+    a path of sinks downstream of the first one nests and overlaps cones;
+    read-outs mix cone outputs, internal cone nets (some of which no
+    suspect effect reaches) and nets outside the cone.
+    """
+    circuit = timing.circuit
+    outputs = set(circuit.outputs)
+    by_sink = {}
+    for edge in circuit.edges:
+        by_sink.setdefault(edge.sink, []).append(timing.edge_index[edge])
+    sinks = sorted(by_sink)
+    chosen = [sinks[i] for i in rng.choice(len(sinks), 3, replace=False)]
+    sink = chosen[0]
+    for _ in range(3):
+        downstream = [net for net in circuit.fanout_cone(sink)
+                      if net != sink and net in by_sink]
+        if not downstream:
+            break
+        sink = downstream[int(rng.integers(len(downstream)))]
+        chosen.append(sink)
+    every_net = circuit.topological_order
+    requests = []
+    for column in range(n_columns):
+        for sink in chosen:
+            cone = circuit.fanout_cone(sink)
+            nets = [net for net in cone if net in outputs and rng.random() < 0.7]
+            picks = rng.choice(len(cone), min(len(cone), 2), replace=False)
+            nets += [cone[i] for i in picks]
+            if rng.random() < 0.3:
+                nets.append(every_net[int(rng.integers(len(every_net)))])
+            edges = by_sink[sink]
+            if rng.random() < 0.3:
+                edges = edges[: int(rng.integers(1, len(edges) + 1))]
+            requests.append((column, edges, cone, nets))
+    return requests
+
+
+def _random_bases(timing, rng, n_columns, sample_index):
+    circuit = timing.circuit
+    return [
+        simulate_transition(
+            timing,
+            rng.integers(0, 2, len(circuit.inputs)),
+            rng.integers(0, 2, len(circuit.inputs)),
+            sample_index=sample_index,
+        )
+        for _ in range(n_columns)
+    ]
+
+
+def _assert_fused_matches_oracle(timing, seed, kernel, instance):
+    """``replay_chunk`` under ``kernel`` is byte-equal to the compiled
+    per-(suspect, pattern) ``resimulate_with_extra`` oracle."""
+    from repro.timing.dynamic import replay_chunk
+
+    rng = np.random.default_rng(seed)
+    n_columns = int(rng.integers(1, 4))
+    sample_index = (
+        int(rng.integers(timing.space.n_samples)) if instance else None
+    )
+    vector_seed = int(rng.integers(2**31))
+    bases = _random_bases(
+        timing, np.random.default_rng(vector_seed), n_columns, sample_index
+    )
+    requests = _chunk_requests(timing, n_columns, rng)
+    sizes = rng.uniform(0.0, 3.0, bases[0].width)
+    want = _per_suspect(bases, requests, sizes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_TIMING_KERNEL", kernel)
+        bases = _random_bases(
+            timing, np.random.default_rng(vector_seed), n_columns,
+            sample_index,
+        )
+        got = replay_chunk(bases, requests, sizes)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+_fused_settings = settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@_fused_settings
+@given(
+    st.integers(0, 10_000),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["compiled", "reference"]),
+    st.booleans(),
+)
+def test_fused_chunk_replay_on_generated_circuits(
+    circuit_seed, seed, kernel, instance
+):
+    circuit = generate_circuit(
+        GeneratorConfig(n_inputs=6, n_outputs=4, n_gates=45, target_depth=7,
+                        seed=circuit_seed % 64)
+    )
+    timing = CircuitTiming(circuit, SampleSpace(n_samples=24, seed=3))
+    _assert_fused_matches_oracle(timing, seed, kernel, instance)
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["compiled", "reference"]),
+    st.booleans(),
+)
+def test_fused_chunk_replay_on_bench_timing(bench_timing, seed, kernel,
+                                            instance):
+    _assert_fused_matches_oracle(bench_timing, seed, kernel, instance)
+
+
+def test_chunk_cases_cover_slab_shapes(bench_timing):
+    """The random chunks above exercise every slab shape: non-candidate
+    pins, candidate pins whose slab reaches no read-out net, slabs pruned
+    below their cone, slabs with controlled-min groups, and instances from
+    several patterns and sinks in one chunk."""
+    net_rows = compile_circuit(bench_timing.circuit).net_rows
+    shapes = {"skipped": 0, "empty": 0, "pruned": 0, "min": 0}
+    columns = set()
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        bases = _random_bases(bench_timing, rng, 3, None)
+        for column, edges, cone, nets in _chunk_requests(bench_timing, 3, rng):
+            schedule = bases[column].kernel_state.cone_for(cone)
+            for edge in edges:
+                pos = schedule.edge_pos.get(edge, -1)
+                slab = schedule.slab(pos, tuple(nets), net_rows)
+                if pos < 0:
+                    shapes["skipped"] += 1
+                elif not slab.n_groups:
+                    shapes["empty"] += 1
+                else:
+                    columns.add(column)
+                    shapes["pruned"] += slab.n_groups < schedule.n_overlay
+                    shapes["min"] += bool(slab.is_min.any())
+    assert all(shapes.values()), shapes
+    assert len(columns) > 1
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(0, 10_000),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["compiled", "reference"]),
+)
+def test_fused_multi_clock_dictionary_matches_per_suspect_loop(
+    circuit_seed, seed, kernel
+):
+    """Multi-clock dictionaries built through fused chunks (of random
+    size) equal the one-replay-per-(suspect, pattern) construction."""
+    from repro.timing import simulate_pattern_set
+
+    circuit = generate_circuit(
+        GeneratorConfig(n_inputs=6, n_outputs=4, n_gates=45, target_depth=7,
+                        seed=circuit_seed % 64)
+    )
+    timing = CircuitTiming(circuit, SampleSpace(n_samples=32, seed=5))
+    rng = np.random.default_rng(seed)
+    pairs = [
+        (rng.integers(0, 2, len(circuit.inputs)),
+         rng.integers(0, 2, len(circuit.inputs)))
+        for _ in range(4)
+    ]
+    edges = list(circuit.edges)
+    suspects = [edges[i] for i in sorted(
+        rng.choice(len(edges), min(len(edges), 14), replace=False)
+    )]
+    sizes = rng.uniform(0.0, 3.0, timing.space.n_samples)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_TIMING_KERNEL", kernel)
+        sims = simulate_pattern_set(timing, pairs)
+        settle = np.concatenate([
+            _rows(sim.stable, circuit.outputs).ravel() for sim in sims
+        ])
+        clks = sorted(float(c) for c in np.quantile(settle, [0.5, 0.8, 0.95]))
+        dictionary = build_multi_clock_dictionary(
+            timing, pairs, clks, suspects, sizes, base_simulations=sims,
+            parallel=ParallelConfig(
+                "serial", chunk_size=int(rng.integers(1, 8))
+            ),
+        )
+        n_patterns = len(sims)
+        for edge in suspects:
+            cone = circuit.fanout_cone(edge.sink)
+            want = np.zeros_like(dictionary.m_crt)
+            for column, sim in enumerate(sims):
+                patched = resimulate_with_extra(
+                    sim, {timing.edge_index[edge]: sizes}, affected=cone
+                )
+                for block, clk in enumerate(clks):
+                    col = block * n_patterns + column
+                    want[:, col] = (
+                        patched.error_vector(clk) - dictionary.m_crt[:, col]
+                    )
+            got = dictionary.signatures[edge]
+            assert got.tobytes() == want.tobytes(), edge
 
 
 # ----------------------------------------------------------------------

@@ -120,6 +120,26 @@ def test_reference_kernel_flagged_outside_timing_and_tests():
     assert "REPRO_TIMING_KERNEL" in findings[0].message
 
 
+def test_compiled_replay_flagged_outside_timing_and_tests():
+    """Hard-wiring the compiled fused replay ignores REPRO_TIMING_KERNEL
+    just as hard-wiring the reference kernel does."""
+    source = (
+        "from repro.timing.kernel import replay_chunk_compiled\n"
+        "rows = replay_chunk_compiled(bases, requests, sizes)\n"
+    )
+    findings = lint_source(source, path="src/repro/core/dictionary.py")
+    assert rule_counts(findings) == {"D106": 2}
+    assert "REPRO_TIMING_KERNEL" in findings[0].message
+    assert lint_source(source, path="src/repro/timing/dynamic.py") == []
+    dispatching = (
+        "from repro.timing.dynamic import replay_chunk\n"
+        "rows = replay_chunk(bases, requests, sizes)\n"
+    )
+    assert lint_source(dispatching, path="src/repro/core/dictionary.py") == []
+    findings = lint_source(dispatching, path="src/repro/hier/replay.py")
+    assert rule_counts(findings) == {"T310": 1}
+
+
 def test_sampling_fixture_flags_unthreaded_generators():
     findings = lint_file(os.path.join(FIXTURES, "sampling", "bad_sampler.py"))
     assert rule_counts(findings) == {"S406": 3, "D103": 1}

@@ -279,7 +279,7 @@ class TestBackendMerging:
 
     def test_items_identical_across_backends(self):
         expected = [10 * index for index in range(8)]
-        for backend in ("serial", "thread", "process", "futures"):
+        for backend in ("serial", "thread", "process"):
             items, _snap = self._run(backend)
             assert items == expected, backend
 

@@ -104,7 +104,7 @@ class TestSerialParallelEquivalence:
         )
         _assert_identical(serial, parallel)
 
-    @pytest.mark.parametrize("backend", ["futures", "thread"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_other_backends_bit_identical(self, request, backend, bench_case):
         timing, patterns, clk, suspects, sizes, sims = bench_case
         serial = build_dictionary(
@@ -164,7 +164,7 @@ class TestExecutor:
         assert len(chunks) >= 4
 
     def test_map_chunked_preserves_order(self):
-        for backend in ("serial", "process", "futures", "thread"):
+        for backend in ("serial", "process", "thread"):
             config = ParallelConfig(backend=backend, n_workers=2, chunk_size=2)
             result = map_chunked(_double_chunk, 3, 9, config)
             assert result == [3 * index for index in range(9)]
@@ -189,6 +189,17 @@ class TestExecutor:
             ParallelConfig(n_workers=0)
         with pytest.raises(ValueError):
             ParallelConfig(chunk_size=0)
+
+    def test_futures_is_an_unknown_backend(self, monkeypatch):
+        """The retired ``futures`` alias of ``process`` fails exactly like
+        any other unknown backend name."""
+        messages = {}
+        for name in ("futures", "gpu"):
+            monkeypatch.setenv("REPRO_PARALLEL_BACKEND", name)
+            with pytest.raises(ValueError) as caught:
+                resolve_parallel(None)
+            messages[name] = str(caught.value).replace(repr(name), "NAME")
+        assert messages["futures"] == messages["gpu"]
 
 
 class TestWorkAwareChunking:

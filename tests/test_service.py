@@ -501,3 +501,57 @@ class TestServer:
                 with pytest.raises(RequestTimeoutError):
                     client.diagnose(WORKLOAD, behaviors[0])
                 assert time.monotonic() - started < 10
+
+
+class TestQueryCommand:
+    """``repro query --behavior FILE`` checks the matrix before it connects."""
+
+    @pytest.mark.parametrize("content", [
+        "[[0, 1], [1]]",          # ragged
+        "{}",                     # object without "behavior"
+        '{"behaviour": [[0]]}',   # misspelt key
+        "[1, 0]",                 # 1-D
+        "[]",                     # empty
+        '[[0, "x"]]',             # not a number
+        "[[0, null]]",            # null is no number either
+        "not json",
+    ])
+    def test_malformed_behavior_file_is_usage_error(
+        self, tmp_path, capsys, content
+    ):
+        from repro.__main__ import EXIT_USAGE, main
+
+        path = tmp_path / "behavior.json"
+        path.write_text(content)
+        # port 1: nothing listens there, so a connection attempt would
+        # exit with a transient-failure code, not a usage error
+        assert main(["query", WORKLOAD, "--behavior", str(path),
+                     "--port", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --behavior {path}: ")
+        assert err.count("\n") == 1
+
+    def test_missing_behavior_file_is_usage_error(self, tmp_path, capsys):
+        from repro.__main__ import EXIT_USAGE, main
+
+        path = tmp_path / "absent.json"
+        assert main(["query", WORKLOAD, "--behavior", str(path),
+                     "--port", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_well_formed_file_gets_an_answer(
+        self, tmp_path, capsys, workload_and_model, behaviors
+    ):
+        from repro.__main__ import main
+
+        workload, _model = workload_and_model
+        service = _service(workload)
+        service.warm_all()
+        path = tmp_path / "behavior.json"
+        path.write_text(json.dumps({"behavior": behaviors[0].tolist()}))
+        with _threaded_server(service) as running:
+            assert main(["query", WORKLOAD, "--behavior", str(path),
+                         "--port", str(running.port), "--top-k", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"workload {WORKLOAD}  method alg_rev")
+        assert len(out.splitlines()) == 4
