@@ -12,12 +12,9 @@ Interpretation notes:
 * process-pool speedup is bounded by physical cores; the emitted
   ``cpu_count`` field says how many this host actually had (on a 1-core
   container the parallel rows measure pure overhead, by design),
-* the cache row measures a warm hit, i.e. the steady state of clock
+* the cache row measures a warm hit on the mmap dictionary store
+  (checksum-verified on every load), i.e. the steady state of clock
   sweeps and repeated diagnoses over the same model,
-* hierarchical rows (``--hier`` equivalent: block-sharded chunks plus
-  block-truncated replay) report ``n_chunks`` next to the flat rows'
-  auto-chunk count — the coarse-shard story ``BENCH_hier.json`` tells in
-  full,
 * results are asserted bit-identical across all strategies before any
   timing is reported — a fast wrong build must never enter the record,
 * every row records ``dispatch``: ``pool`` when the build reached the
@@ -26,10 +23,9 @@ Interpretation notes:
   or was a serial or cached build; a ``process-N`` row labelled
   ``serial`` is not a pool speedup.
 
-Exit status: on a multi-core host (``cpu_count >= 2``) the run **fails**
-(exit 1) if the block-sharded process backend loses to serial on the
-largest benchmarked circuit — the regression this benchmark exists to
-catch.  Single-core hosts report the ratio without gating.
+Exit status: nonzero when any strategy's dictionary differs from the
+serial build (the bit-identity assertions) or the warm run misses the
+cache.  Timings are recorded and reported, not gated.
 
 Usage: ``PYTHONPATH=src python benchmarks/bench_parallel.py [--quick]``
 """
@@ -49,13 +45,11 @@ from repro import obs
 from repro.atpg import generate_path_tests
 from repro.circuits import load_benchmark
 from repro.core import (
-    DictionaryCache,
+    DictionaryStore,
     ParallelConfig,
     build_dictionary,
-    chunk_indices,
     suspect_edges,
 )
-from repro.hier import block_chunks, partition_circuit
 from repro.defects import SingleDefectModel, behavior_matrix
 from repro.timing import (
     CircuitTiming,
@@ -111,21 +105,12 @@ def bench_circuit(name: str, n_samples: int, n_paths: int, repeats: int):
     timing, patterns, clk, suspects, sizes, sims = _build_case(
         name, n_samples=n_samples, n_paths=n_paths, seed=0
     )
-    work_per_item = len(patterns) * n_samples
-    graph = partition_circuit(timing.circuit)
-    flat_chunks = len(
-        chunk_indices(len(suspects), None, 2, work_per_item=work_per_item)
-    )
-    hier_chunks = len(block_chunks(graph, suspects, work_per_item))
     base = dict(
         circuit=name,
         n_edges=len(timing.circuit.edges),
         n_suspects=len(suspects),
         n_patterns=len(patterns),
         n_samples=n_samples,
-        n_blocks=graph.n_blocks,
-        flat_chunks=flat_chunks,
-        hier_chunks=hier_chunks,
     )
     runs = []
 
@@ -164,21 +149,15 @@ def bench_circuit(name: str, n_samples: int, n_paths: int, repeats: int):
             parallel=ParallelConfig(backend="process", n_workers=workers),
         )
         assert _identical(reference, parallel), "parallel build diverged"
-    hier = timed(
-        "process-2-hier", "process", 2,
-        parallel=ParallelConfig(backend="process", n_workers=2),
-        hier=True,
-    )
-    assert _identical(reference, hier), "hierarchical build diverged"
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        cache = DictionaryCache(cache_dir)
+        cache = DictionaryStore(cache_dir)
         build_dictionary(  # cold store
             timing, patterns, clk, suspects, sizes,
             base_simulations=sims, cache=cache,
         )
         warm = timed("cache-hit", "cache", 1, cache=cache)
-        assert cache.hits >= 1, "warm run did not hit the cache"
+        assert cache.stats.hits >= 1, "warm run did not hit the cache"
         assert _identical(reference, warm), "cached build diverged"
 
     serial_seconds = runs[0]["seconds"]
@@ -248,28 +227,6 @@ def main(argv=None) -> int:
             f"{os.cpu_count()} CPU(s); the >=2x scaling target needs >= 4 cores"
         )
 
-    hier_row = [r for r in runs
-                if r["circuit"] == largest and r["strategy"] == "process-2-hier"]
-    if hier_row:
-        speedup = hier_row[0]["speedup"]
-        chunk_note = (
-            f"chunks flat={hier_row[0]['flat_chunks']} "
-            f"hier={hier_row[0]['hier_chunks']}"
-        )
-        if (os.cpu_count() or 1) >= 2:
-            if speedup <= 1.0:
-                print(
-                    f"FAIL: block-sharded process backend lost to serial on "
-                    f"{largest} (x{speedup:.2f}, {chunk_note})"
-                )
-                return 1
-            print(f"process-2-hier on {largest}: x{speedup:.2f} "
-                  f"({chunk_note}) OK")
-        else:
-            print(
-                f"process-2-hier on {largest}: x{speedup:.2f} ({chunk_note}) "
-                f"— single-CPU host, the beats-serial gate needs >= 2 cores"
-            )
     return 0
 
 

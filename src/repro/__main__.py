@@ -94,11 +94,6 @@ def _apply_execution_flags(args) -> None:
     sampler = getattr(args, "sampler", None)
     if sampler:
         os.environ["REPRO_SAMPLER"] = sampler
-    if getattr(args, "hier", False):
-        os.environ["REPRO_HIER"] = "1"
-    hier_blocks = getattr(args, "hier_blocks", None)
-    if hier_blocks:
-        os.environ["REPRO_HIER_BLOCKS"] = str(hier_blocks)
 
 
 def _load_timing(name: str, samples: int, seed: int):
@@ -270,7 +265,7 @@ def cmd_profile(args) -> int:
     from . import obs
     from .atpg import generate_path_tests
     from .core import (
-        DictionaryCache,
+        DictionaryStore,
         build_dictionary,
         diagnose_all,
         resolve_cache,
@@ -316,7 +311,7 @@ def cmd_profile(args) -> int:
         with tempfile.TemporaryDirectory(prefix="repro-profile-") as scratch:
             # An explicit --cache-dir profiles that cache; otherwise a
             # scratch directory exercises the cold-store/warm-hit path.
-            cache = resolve_cache(None) or DictionaryCache(scratch)
+            cache = resolve_cache(None) or DictionaryStore(scratch)
             with recorder.span("profile.dictionary"):
                 dictionary = build_dictionary(
                     timing, patterns, clk, suspects, sizes,
@@ -452,8 +447,8 @@ def cmd_serve(args) -> int:
     Registers one standard workload per benchmark (pattern set, clock,
     suspect set all fixed by ``--seed``), prewarms the dictionaries
     unless ``--cold``, then serves the JSON-lines protocol until
-    interrupted.  ``REPRO_CACHE_DIR`` + ``REPRO_CACHE_FORMAT=store``
-    back the warm dictionaries with shared mmapped pages.
+    interrupted.  ``--cache-dir`` / ``REPRO_CACHE_DIR`` back the warm
+    dictionaries with shared mmapped pages.
 
     The serving plane runs supervised (``docs/architecture.md`` §16): a
     circuit breaker sheds load when p95 batch latency or failure rate
@@ -479,7 +474,6 @@ def cmd_serve(args) -> int:
         cache=args.cache_dir or None,
         parallel=args.parallel or None,
         sampler=args.sampler or None,
-        hier=args.hier or None,
     )
     for benchmark in args.benchmarks:
         workload, _model = standard_workload(
@@ -680,18 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
             "importance sampling, 'adaptive' adds per-suspect sample "
             "allocation — both variance-reduction modes, bit-reproducible "
             "at fixed seed)",
-        )
-        p.add_argument(
-            "--hier", action="store_true",
-            help="build dictionaries through hierarchical block timing "
-            "models (partition once, extract per-block interface models, "
-            "replay per block; bit-identical to the flat build, shards "
-            "parallel work by block)",
-        )
-        p.add_argument(
-            "--hier-blocks", type=_positive_int, default=None,
-            dest="hier_blocks", metavar="N",
-            help="block count for --hier (default: depth-scaled heuristic)",
         )
         p.add_argument(
             "--metrics", type=str, default="", metavar="OUT.json",
@@ -927,8 +909,7 @@ def _run_config(args) -> dict:
     config = {}
     for field in ("samples", "trials", "paths", "parallel", "workers",
                   "chunk_size", "cache_dir", "cache_max_entries", "retries",
-                  "chunk_timeout", "checkpoint", "sampler", "hier",
-                  "hier_blocks"):
+                  "chunk_timeout", "checkpoint", "sampler"):
         value = getattr(args, field, None)
         if value not in (None, "", False):
             config[field] = value

@@ -11,7 +11,6 @@ from .parallel import (
 )
 from .cache import (
     CacheStats,
-    DictionaryCache,
     DictionaryStore,
     STORE_FORMAT,
     resolve_cache,
@@ -79,7 +78,6 @@ __all__ = [
     "chunk_indices",
     "map_chunked",
     "CacheStats",
-    "DictionaryCache",
     "DictionaryStore",
     "STORE_FORMAT",
     "resolve_cache",

@@ -13,21 +13,17 @@ two-vector pattern set, the clock(s), the suspect list, and the
 defect-size sample vector.  Any change to any of them changes the key —
 stale hits are structurally impossible, no invalidation protocol needed.
 
-Two on-disk layouts share the key space and the duck API:
+On disk, a :class:`DictionaryStore` holds each entry as a JSON manifest
+plus ONE mmap-able ``.npy`` stack, loaded with ``mmap_mode="r"`` so warm
+services and pool workers share read-only dictionary pages through the
+OS page cache (see ``docs/architecture.md`` §15).  Every load verifies
+the payload checksum: a truncated, corrupted or wrong-format entry is
+deleted and treated as a miss, so the caller simply rebuilds.
+Directories of the retired one-``.npz``-blob-per-entry format convert
+once through :meth:`DictionaryStore.migrate_legacy`.
 
-* :class:`DictionaryCache` — one ``.npz`` blob per entry, written
-  atomically (temp file + rename) with an internal payload checksum; a
-  truncated, corrupted or wrong-format file is detected on load, deleted,
-  and treated as a miss so the caller simply rebuilds,
-* :class:`DictionaryStore` — the zero-copy serving layout: a JSON
-  manifest plus ONE mmap-able ``.npy`` stack per entry, loaded with
-  ``mmap_mode="r"`` so warm services and pool workers share read-only
-  dictionary pages through the OS page cache instead of re-deserializing
-  a blob per request (see ``docs/architecture.md`` §15).
-
-Both are **off by default** and enabled by the ``REPRO_CACHE_DIR``
-environment variable (``REPRO_CACHE_FORMAT=store`` selects the mmap
-layout) or an explicit instance / directory argument.
+The store is **off by default** and enabled by the ``REPRO_CACHE_DIR``
+environment variable or an explicit instance / directory argument.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from .. import obs
 
 __all__ = [
     "CacheStats",
-    "DictionaryCache",
     "DictionaryStore",
     "STORE_FORMAT",
     "resolve_cache",
@@ -62,7 +57,6 @@ __all__ = [
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_MAX_ENTRIES = "REPRO_CACHE_MAX_ENTRIES"
-ENV_CACHE_FORMAT = "REPRO_CACHE_FORMAT"
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +71,7 @@ def _array_bytes(array: np.ndarray) -> bytes:
 #: are immutable once built (the whole content-address scheme already
 #: relies on that), so a digest can be computed once per object instead
 #: of re-walking a 20k-gate netlist / re-hashing the delay matrix on
-#: every cache-key, partition or block-model lookup.
+#: every cache-key lookup.
 _CIRCUIT_FINGERPRINTS: "weakref.WeakKeyDictionary[Circuit, str]" = (
     weakref.WeakKeyDictionary()
 )
@@ -149,21 +143,13 @@ def dictionary_cache_key(
     suspects: Sequence[Edge],
     size_samples: np.ndarray,
     sampler_token: Optional[str] = None,
-    hier_token: Optional[str] = None,
 ) -> str:
     """The content address of one dictionary build.
 
     ``sampler_token`` folds a non-plain sampler configuration into the
     address (:meth:`repro.sampling.SamplerConfig.cache_token`); plain
     builds pass ``None`` so their keys stay byte-identical to keys
-    written before the sampling subsystem existed.  ``hier_token``
-    (:meth:`repro.hier.HierConfig.cache_token`) does the same for
-    hierarchically-built dictionaries: the bytes are bit-identical to
-    flat builds by contract, but the token — which includes the
-    partition fingerprint — records the construction path, keeping the
-    ``K901`` cache-key completeness invariant (every parameter reaching
-    the build job is keyed) and making a partition change auditable in
-    the store.  Flat builds pass ``None`` and keep their historic keys.
+    written before the sampling subsystem existed.
     """
     hasher = hashlib.sha256()
     hasher.update(timing_fingerprint(timing).encode())
@@ -175,25 +161,12 @@ def dictionary_cache_key(
     hasher.update(_array_bytes(np.asarray(size_samples, dtype=float)))
     if sampler_token is not None:
         hasher.update(sampler_token.encode())
-    if hier_token is not None:
-        hasher.update(hier_token.encode())
-    return hasher.hexdigest()
-
-
-# ----------------------------------------------------------------------
-# the cache proper
-# ----------------------------------------------------------------------
-def _payload_checksum(m_crt: np.ndarray, signatures: Sequence[np.ndarray]) -> str:
-    hasher = hashlib.sha256()
-    hasher.update(_array_bytes(m_crt))
-    for signature in signatures:
-        hasher.update(_array_bytes(signature))
     return hasher.hexdigest()
 
 
 @dataclass
 class CacheStats:
-    """Introspectable hit/miss accounting for one :class:`DictionaryCache`.
+    """Introspectable hit/miss accounting for one :class:`DictionaryStore`.
 
     ``rejected`` counts entries that existed but failed an integrity check
     (and were evicted); every rejection is also a miss.  ``stores`` counts
@@ -230,215 +203,11 @@ class CacheStats:
         }
 
 
-class DictionaryCache:
-    """Directory of content-addressed dictionary payloads.
-
-    ``stats`` (a :class:`CacheStats`) makes cache behavior observable in
-    tests and benchmarks; the ``hits`` / ``misses`` / ``rejected``
-    attributes remain as read-only views of it.
-
-    ``max_entries`` caps the directory at that many entries with
-    least-recently-used eviction (also settable through the
-    ``REPRO_CACHE_MAX_ENTRIES`` environment variable, see
-    :func:`resolve_cache`).  Recency is the file mtime, refreshed on
-    every hit, so the cap evicts the entries diagnosis has stopped
-    asking for.  ``None`` (the default) means unbounded.
-    """
-
-    def __init__(
-        self,
-        directory: Union[str, os.PathLike],
-        max_entries: Optional[int] = None,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be None or >= 1")
-        self.directory = os.fspath(directory)
-        self.max_entries = max_entries
-        self.stats = CacheStats()
-
-    @property
-    def hits(self) -> int:
-        return self.stats.hits
-
-    @property
-    def misses(self) -> int:
-        return self.stats.misses
-
-    @property
-    def rejected(self) -> int:
-        return self.stats.rejected
-
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.directory, f"dict_{key}.npz")
-
-    # -- load -----------------------------------------------------------
-    def load(self, key: str) -> Optional[Dict[str, np.ndarray]]:
-        """Return ``{"m_crt": ..., "signatures": [...]}`` or ``None``.
-
-        Every failure mode — missing file, unreadable zip, missing
-        arrays, checksum mismatch — is a miss; corrupt files are deleted
-        so the subsequent store can rewrite them cleanly.
-        """
-        recorder = obs.get_recorder()
-        path = self.path_for(key)
-        if not os.path.exists(path):
-            self.stats.misses += 1
-            recorder.count("cache.miss")
-            return None
-        try:
-            chaos.trip("cache.load")
-            with np.load(path, allow_pickle=False) as archive:
-                meta = json.loads(str(archive["meta"]))
-                if meta.get("key") != key:
-                    raise ValueError("key mismatch")
-                n_suspects = int(meta["n_suspects"])
-                m_crt = archive["m_crt"]
-                signatures = [
-                    archive[f"sig_{index:05d}"] for index in range(n_suspects)
-                ]
-            if _payload_checksum(m_crt, signatures) != meta["checksum"]:
-                raise ValueError("payload checksum mismatch")
-        except Exception:
-            # Truncated download, interrupted writer, zip damage, schema
-            # drift: never crash the diagnosis over a bad cache file.
-            self.stats.rejected += 1
-            self.stats.misses += 1
-            recorder.count("cache.rejected")
-            recorder.count("cache.miss")
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
-        self.stats.hits += 1
-        recorder.count("cache.hit")
-        if self.max_entries is not None:
-            try:
-                os.utime(path)  # refresh LRU recency
-            except OSError:
-                pass
-        return {"m_crt": m_crt, "signatures": signatures}
-
-    # -- store ----------------------------------------------------------
-    def store(
-        self, key: str, m_crt: np.ndarray, signatures: Sequence[np.ndarray]
-    ) -> Optional[str]:
-        """Write one payload atomically; returns the file path.
-
-        A failed write (full disk, permissions, injected chaos) must
-        never kill the diagnosis that produced the payload — the run
-        simply continues uncached.  Failures are counted in
-        ``stats.store_failures`` and return ``None``.
-        """
-        meta = {
-            "format": "repro-dictionary-cache-v1",
-            "key": key,
-            "n_suspects": len(signatures),
-            "checksum": _payload_checksum(m_crt, signatures),
-        }
-        arrays = {
-            "meta": np.array(json.dumps(meta)),
-            "m_crt": np.asarray(m_crt, dtype=float),
-        }
-        for index, signature in enumerate(signatures):
-            arrays[f"sig_{index:05d}"] = np.asarray(signature, dtype=float)
-        path = self.path_for(key)
-        tmp_path = None
-        try:
-            chaos.trip("cache.store")
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmp_dict_", suffix=".npz"
-            )
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, **arrays)
-            os.replace(tmp_path, path)
-        except KeyboardInterrupt:
-            if tmp_path is not None:
-                try:
-                    os.remove(tmp_path)
-                except OSError:
-                    pass
-            raise
-        except Exception:
-            if tmp_path is not None:
-                try:
-                    os.remove(tmp_path)
-                except OSError:
-                    pass
-            self.stats.store_failures += 1
-            obs.get_recorder().count("cache.store_failed")
-            return None
-        self.stats.stores += 1
-        obs.get_recorder().count("cache.store")
-        self._enforce_max_entries(keep=path)
-        return path
-
-    def _enforce_max_entries(self, keep: Optional[str] = None) -> int:
-        """Evict least-recently-used entries beyond ``max_entries``."""
-        if self.max_entries is None:
-            return 0
-        try:
-            entries = [
-                os.path.join(self.directory, name)
-                for name in os.listdir(self.directory)
-                if name.startswith("dict_") and name.endswith(".npz")
-            ]
-        except OSError:
-            return 0
-        if len(entries) <= self.max_entries:
-            return 0
-        recorder = obs.get_recorder()
-
-        def mtime(entry: str) -> float:
-            try:
-                return os.path.getmtime(entry)
-            except OSError:
-                return 0.0
-
-        evicted = 0
-        # Oldest first; never evict the entry just written even if clock
-        # skew makes its mtime look stale.
-        for entry in sorted(entries, key=mtime):
-            if len(entries) - evicted <= self.max_entries:
-                break
-            if keep is not None and entry == keep:
-                continue
-            try:
-                os.remove(entry)
-            except OSError:
-                continue
-            evicted += 1
-            self.stats.evictions += 1
-            recorder.count("cache.evicted")
-        return evicted
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
-        removed = 0
-        if not os.path.isdir(self.directory):
-            return removed
-        for name in os.listdir(self.directory):
-            if name.startswith("dict_") and name.endswith(".npz"):
-                try:
-                    os.remove(os.path.join(self.directory, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DictionaryCache({self.directory!r}, hits={self.stats.hits}, "
-            f"misses={self.stats.misses}, rejected={self.stats.rejected})"
-        )
-
-
 # ----------------------------------------------------------------------
 # the zero-copy mmap store
 # ----------------------------------------------------------------------
 #: Format tag of a store manifest.  Bumping it orphans every existing
-#: entry (audited as S404 schema drift), exactly like the blob cache.
+#: entry (audited as S404 schema drift).
 STORE_FORMAT = "repro-dictionary-store-v1"
 
 #: Keys every store manifest must carry, with their JSON types.
@@ -496,9 +265,8 @@ def validate_store_manifest(payload: Dict) -> List[str]:
 class DictionaryStore:
     """Content-addressed dictionary store with zero-copy mmap loads.
 
-    Same content-addressing and duck API as :class:`DictionaryCache`
-    (``load(key)`` / ``store(key, m_crt, signatures)``), different layout:
-    instead of one pickled-zip ``.npz`` blob per entry, an entry is
+    ``load(key)`` / ``store(key, m_crt, signatures)`` over a directory
+    in which an entry is
 
     * ``dict_<key>.json`` — a small manifest naming the payload file and
       pinning its shape, dtype and SHA-256 checksum,
@@ -519,6 +287,14 @@ class DictionaryStore:
     *before* the manifest pointer is atomically replaced, so a reader
     always sees a (manifest, payload) pair that was published together —
     either the old complete entry or the new one, never a torn mix.
+
+    ``stats`` (a :class:`CacheStats`) makes cache behavior observable in
+    tests and benchmarks.  ``max_entries`` caps the directory at that
+    many entries with least-recently-used eviction (also settable
+    through ``REPRO_CACHE_MAX_ENTRIES``, see :func:`resolve_cache`).
+    Recency is the manifest mtime, refreshed on every hit, so the cap
+    evicts the entries diagnosis has stopped asking for.  ``None`` (the
+    default) means unbounded.
     """
 
     #: Prefix of in-flight temp files (manifest and payload writers).
@@ -528,38 +304,29 @@ class DictionaryStore:
         self,
         directory: Union[str, os.PathLike],
         max_entries: Optional[int] = None,
-        mmap: bool = True,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be None or >= 1")
         self.directory = os.fspath(directory)
         self.max_entries = max_entries
-        self.mmap = mmap
         self.stats = CacheStats()
 
     # -- paths ----------------------------------------------------------
     def manifest_path_for(self, key: str) -> str:
         return os.path.join(self.directory, f"dict_{key}.json")
 
-    # Duck compatibility with DictionaryCache.path_for: the "entry path"
-    # of a store entry is its manifest (the atomically-replaced pointer).
-    path_for = manifest_path_for
-
     def _payload_name(self, key: str, checksum: str) -> str:
         return f"dict_{key}.{checksum[:12]}.npy"
 
     # -- load -----------------------------------------------------------
-    def load(
-        self, key: str, verify: bool = False
-    ) -> Optional[Dict[str, np.ndarray]]:
+    def load(self, key: str) -> Optional[Dict[str, np.ndarray]]:
         """Map one entry; ``None`` on miss, corruption, or mid-rewrite race.
 
         Returns ``{"m_crt": ..., "signatures": [...], "stack": ...}`` —
-        the signatures are zero-copy row views of the mmapped ``stack``.
-        Structural integrity (manifest schema, payload shape/dtype, file
-        long enough to back the mapping) is always checked; the full
-        payload checksum only under ``verify=True``, because hashing the
-        bytes would page the entire entry in and defeat lazy mapping.
+        the signatures are zero-copy, read-only row views of the mmapped
+        ``stack``.  Every load checks the manifest schema, the payload
+        shape and dtype, and the full payload checksum, so silent bit rot
+        is caught before any diagnosis reads the entry.
 
         A manifest whose payload file is missing is a *benign race* (a
         concurrent rewrite just retired it): counted as a miss, nothing
@@ -589,16 +356,12 @@ class DictionaryStore:
                 self.stats.misses += 1
                 recorder.count("cache.miss")
                 return None
-            stack = np.load(
-                payload_path,
-                mmap_mode="r" if self.mmap else None,
-                allow_pickle=False,
-            )
+            stack = np.load(payload_path, mmap_mode="r", allow_pickle=False)
             if list(stack.shape) != manifest["shape"]:
                 raise ValueError("payload shape disagrees with manifest")
             if str(stack.dtype) != manifest["dtype"]:
                 raise ValueError("payload dtype disagrees with manifest")
-            if verify and self._stack_checksum(stack) != manifest["checksum"]:
+            if self._stack_checksum(stack) != manifest["checksum"]:
                 raise ValueError("payload checksum mismatch")
         except Exception:
             self.stats.rejected += 1
@@ -607,8 +370,6 @@ class DictionaryStore:
             recorder.count("cache.miss")
             self.evict(key)
             return None
-        if not self.mmap:
-            stack.setflags(write=False)
         self.stats.hits += 1
         recorder.count("cache.hit")
         if self.max_entries is not None:
@@ -655,11 +416,12 @@ class DictionaryStore:
 
     @staticmethod
     def _stack_checksum(stack: np.ndarray) -> str:
-        return hashlib.sha256(
-            str(stack.dtype).encode()
-            + str(stack.shape).encode()
-            + np.ascontiguousarray(stack).tobytes()
-        ).hexdigest()
+        # Hash the (mapped) buffer in place: no full in-memory copy.
+        hasher = hashlib.sha256(
+            str(stack.dtype).encode() + str(stack.shape).encode()
+        )
+        hasher.update(np.ascontiguousarray(stack).data)
+        return hasher.hexdigest()
 
     # -- store ----------------------------------------------------------
     def store(
@@ -671,8 +433,10 @@ class DictionaryStore:
         content-derived name), manifest pointer second (atomic
         ``os.replace``).  Stale payloads of the same key are unlinked
         *after* the new manifest lands — POSIX keeps their pages alive
-        for readers that already mapped them.  Like the blob cache, a
-        failed write never kills the diagnosis that produced the data.
+        for readers that already mapped them.  A failed write (full disk,
+        permissions, injected chaos) never kills the diagnosis that
+        produced the data: it is counted in ``stats.store_failures`` and
+        returns ``None``, and the run continues uncached.
         """
         m_crt = np.asarray(m_crt, dtype=float)
         stack = np.empty((1 + len(signatures),) + m_crt.shape, dtype=float)
@@ -805,31 +569,33 @@ class DictionaryStore:
         return removed
 
     # -- migration ------------------------------------------------------
-    def migrate_legacy(self, cache: Union["DictionaryCache", str]) -> int:
-        """Convert every readable legacy ``.npz`` blob into a store entry.
+    def migrate_legacy(self, directory: Union[str, os.PathLike]) -> int:
+        """Convert every readable legacy ``dict_<key>.npz`` blob into a
+        store entry; returns the number of entries migrated.
 
-        Corrupt legacy entries are skipped (and counted against the
-        legacy cache's own stats by its ``load``); entries already
-        present in the store are not rewritten.  Returns the number of
-        entries migrated.
+        Damaged or foreign blobs are skipped (``repro lint --models
+        --cache-dir`` reports them), entries already present in the store
+        are not rewritten, and the legacy directory is never modified.
         """
-        if not isinstance(cache, DictionaryCache):
-            cache = DictionaryCache(cache)
-        migrated = 0
+        directory = os.fspath(directory)
         try:
-            names = os.listdir(cache.directory)
+            names = os.listdir(directory)
         except OSError:
             return 0
+        migrated = 0
         for name in sorted(names):
             if not (name.startswith("dict_") and name.endswith(".npz")):
                 continue
             key = name[len("dict_"):-len(".npz")]
             if os.path.exists(self.manifest_path_for(key)):
                 continue
-            payload = cache.load(key)
-            if payload is None:
+            try:
+                m_crt, signatures = _read_legacy_blob(
+                    os.path.join(directory, name), key
+                )
+            except Exception:
                 continue
-            if self.store(key, payload["m_crt"], payload["signatures"]):
+            if self.store(key, m_crt, signatures):
                 migrated += 1
         return migrated
 
@@ -841,36 +607,76 @@ class DictionaryStore:
 
 
 def resolve_cache(
-    cache: Optional[
-        Union[DictionaryCache, "DictionaryStore", str, os.PathLike]
-    ] = None,
-) -> Optional[Union[DictionaryCache, "DictionaryStore"]]:
+    cache: Optional[Union[DictionaryStore, str, os.PathLike]] = None,
+) -> Optional[DictionaryStore]:
     """Normalize a caller-supplied cache argument.
 
-    Explicit :class:`DictionaryCache` / :class:`DictionaryStore`
-    instances and paths win; ``None`` consults ``REPRO_CACHE_DIR`` and
-    stays disabled when it is unset or empty — so tests and library
-    users never hit the filesystem unless they opted in.
-    ``REPRO_CACHE_MAX_ENTRIES`` applies the LRU size cap to any cache
-    this function constructs (explicit instances keep their own
-    ``max_entries``), and ``REPRO_CACHE_FORMAT=store`` makes constructed
-    caches zero-copy :class:`DictionaryStore` directories instead of
-    pickle-blob :class:`DictionaryCache` ones.
+    An explicit :class:`DictionaryStore` instance or directory wins;
+    ``None`` consults ``REPRO_CACHE_DIR`` and stays disabled when it is
+    unset or empty — so tests and library users never hit the filesystem
+    unless they opted in.  ``REPRO_CACHE_MAX_ENTRIES`` applies the LRU
+    size cap to any store this function constructs (explicit instances
+    keep their own ``max_entries``).
     """
-    if isinstance(cache, (DictionaryCache, DictionaryStore)):
+    if isinstance(cache, DictionaryStore):
         return cache
     limit = os.environ.get(ENV_CACHE_MAX_ENTRIES, "").strip()
     max_entries = int(limit) if limit else None
-    fmt = os.environ.get(ENV_CACHE_FORMAT, "").strip().lower() or "blob"
-    if fmt not in ("blob", "store"):
-        raise ValueError(
-            f"unknown {ENV_CACHE_FORMAT} value {fmt!r}; expected 'blob' or "
-            "'store'"
-        )
-    factory = DictionaryStore if fmt == "store" else DictionaryCache
-    if cache is not None:
-        return factory(cache, max_entries=max_entries)
-    directory = os.environ.get(ENV_CACHE_DIR, "").strip()
-    if directory:
-        return factory(directory, max_entries=max_entries)
-    return None
+    if cache is None:
+        cache = os.environ.get(ENV_CACHE_DIR, "").strip() or None
+    if cache is None:
+        return None
+    return DictionaryStore(cache, max_entries=max_entries)
+
+
+# ----------------------------------------------------------------------
+# the retired blob format (read-only, for migration and audits)
+# ----------------------------------------------------------------------
+#: Format tag of a legacy ``dict_<key>.npz`` blob.
+_LEGACY_BLOB_FORMAT = "repro-dictionary-cache-v1"
+
+
+class _LegacyBlobMismatch(ValueError):
+    """A readable legacy blob written for another format or key."""
+
+
+def _payload_checksum(m_crt: np.ndarray, signatures: Sequence[np.ndarray]) -> str:
+    hasher = hashlib.sha256()
+    hasher.update(_array_bytes(m_crt))
+    for signature in signatures:
+        hasher.update(_array_bytes(signature))
+    return hasher.hexdigest()
+
+
+def _read_legacy_blob(
+    path: str, key: str
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Read one legacy blob, verifying its format, key and checksum.
+
+    A blob holds ``meta`` (a JSON string: format, key, ``n_suspects``,
+    checksum), ``m_crt`` and one ``sig_<index:05d>`` array per suspect.
+    Raises :class:`_LegacyBlobMismatch` for a blob of another format or
+    key, ``ValueError`` on a checksum mismatch, and whatever ``np.load``
+    raises on a damaged file.
+    """
+    with np.load(path, allow_pickle=False) as archive:
+        meta = json.loads(str(archive["meta"]))
+        fmt = meta.get("format")
+        if fmt != _LEGACY_BLOB_FORMAT:
+            raise _LegacyBlobMismatch(
+                f"entry carries format {fmt!r}, expected "
+                f"{_LEGACY_BLOB_FORMAT!r} (written by an incompatible revision)"
+            )
+        if meta.get("key") != key:
+            raise _LegacyBlobMismatch(
+                "entry key does not match its filename (orphaned by a "
+                "key-schema change)"
+            )
+        m_crt = archive["m_crt"]
+        signatures = [
+            archive[f"sig_{index:05d}"]
+            for index in range(int(meta["n_suspects"]))
+        ]
+    if _payload_checksum(m_crt, signatures) != meta["checksum"]:
+        raise ValueError("payload checksum mismatch (bit rot or truncated write)")
+    return m_crt, signatures

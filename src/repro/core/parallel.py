@@ -24,8 +24,8 @@ milliseconds, more than a small map takes serially.  A call that declares
 its per-item cost (``work_per_item``) and leaves chunking to the executor
 runs in-process when its total work is below
 :data:`POOL_BREAK_EVEN_WORK` (counter ``parallel.dispatch.below_break_even``).
-Calls with an explicit ``chunk_size``, explicit ``chunks`` or no cost
-hint always reach the configured backend.
+Calls with an explicit ``chunk_size`` or no cost hint always reach the
+configured backend.
 
 Execution is **fault-tolerant** (see :mod:`repro.resilience` and
 ``docs/architecture.md`` §11).  A :class:`~repro.resilience.RetryPolicy`
@@ -494,7 +494,6 @@ def map_chunked(
     config: Optional[Union[ParallelConfig, str]] = None,
     policy: Optional[RetryPolicy] = None,
     work_per_item: Optional[float] = None,
-    chunks: Optional[List[Sequence[int]]] = None,
 ) -> List:
     """Run ``fn(payload, indices)`` over chunked indices; flatten in order.
 
@@ -507,17 +506,8 @@ def map_chunked(
     ``work_per_item`` is an optional cost hint (work units per index)
     that lets auto-chunking respect :data:`MIN_CHUNK_WORK` and keeps a
     map whose total work is below :data:`POOL_BREAK_EVEN_WORK` in-process
-    (unless ``chunk_size`` or ``chunks`` is explicit); it never changes
-    results, only how indices group into tasks and where they run.
-
-    ``chunks`` hands the sharding to the caller entirely: an explicit
-    list of index groups (hierarchical builds pass block-grouped suspect
-    indices from :func:`repro.hier.block_chunks`), possibly
-    non-contiguous, that together must cover ``range(n_items)`` exactly
-    once.  Results are scattered back by item index, so explicit shards
-    preserve the serial result order no matter how they carve the index
-    space.  Mutually exclusive in spirit with ``chunk_size`` /
-    ``work_per_item``, which are ignored when ``chunks`` is given.
+    (unless ``chunk_size`` is explicit); it never changes results, only
+    how indices group into tasks and where they run.
 
     ``policy`` (a :class:`repro.resilience.RetryPolicy`; defaults to the
     ``REPRO_RETRY_*`` environment) adds per-chunk retries with
@@ -528,18 +518,9 @@ def map_chunked(
     config = resolve_parallel(config)
     policy = resolve_retry(policy)
     recorder = obs.get_recorder()
-    explicit = chunks is not None
-    if explicit:
-        chunks = [list(chunk) for chunk in chunks if len(chunk)]
-        covered = sorted(index for chunk in chunks for index in chunk)
-        if covered != list(range(n_items)):
-            raise ValueError(
-                "explicit chunks must cover range(n_items) exactly once"
-            )
-    else:
-        chunks = chunk_indices(
-            n_items, config.chunk_size, config.workers, work_per_item
-        )
+    chunks = chunk_indices(
+        n_items, config.chunk_size, config.workers, work_per_item
+    )
     if not chunks:
         return []
 
@@ -548,8 +529,7 @@ def map_chunked(
     all_indices = list(range(len(chunks)))
 
     below_break_even = (
-        not explicit
-        and config.chunk_size is None
+        config.chunk_size is None
         and work_per_item is not None
         and n_items * work_per_item < POOL_BREAK_EVEN_WORK
     )
@@ -563,7 +543,7 @@ def map_chunked(
             recorder.count("parallel.dispatch.below_break_even")
         recorder.count("parallel.serial.chunks", len(chunks))
         recorder.count("parallel.serial.items", n_items)
-        return _flatten(results, recorder, chunks if explicit else None, n_items)
+        return _flatten(results, recorder)
 
     workers = min(config.workers, len(chunks))
     ladder = policy.ladder(config.backend)
@@ -605,36 +585,16 @@ def map_chunked(
     recorder.count(f"parallel.{config.backend}.chunks", len(chunks))
     recorder.count(f"parallel.{config.backend}.items", n_items)
     recorder.gauge("parallel.workers", workers)
-    return _flatten(results, recorder, chunks if explicit else None, n_items)
+    return _flatten(results, recorder)
 
 
-def _flatten(
-    results: List,
-    recorder,
-    chunks: Optional[List[Sequence[int]]] = None,
-    n_items: int = 0,
-) -> List:
-    """Reassemble chunk results; scatter by index for explicit chunks.
-
-    Auto-chunking produces contiguous ascending ranges, so concatenation
-    in chunk order is already item order.  Explicit (caller-provided)
-    chunks may interleave the index space arbitrarily; their results are
-    scattered into an item-indexed list so downstream reductions still
-    see exactly the serial ordering.
-    """
-    if chunks is None:
-        flattened = []
-        for chunk_result in results:
-            if isinstance(chunk_result, _MetricsShard):
-                recorder.merge(chunk_result.metrics)
-                chunk_result = chunk_result.items
-            flattened.extend(chunk_result)
-        return flattened
-    scattered: List = [_PENDING] * n_items
-    for chunk, chunk_result in zip(chunks, results):
+def _flatten(results: List, recorder) -> List:
+    """Reassemble chunk results in chunk order (which is item order:
+    auto-chunking produces contiguous ascending ranges)."""
+    flattened = []
+    for chunk_result in results:
         if isinstance(chunk_result, _MetricsShard):
             recorder.merge(chunk_result.metrics)
             chunk_result = chunk_result.items
-        for index, item in zip(chunk, chunk_result):
-            scattered[index] = item
-    return scattered
+        flattened.extend(chunk_result)
+    return flattened

@@ -339,8 +339,6 @@ def check_suspects(
     return findings
 
 
-_CACHE_FORMAT = "repro-dictionary-cache-v1"
-
 #: A mmap-store payload: ``dict_<key>.<content-digest-12>.npy``.
 _STORE_PAYLOAD_RE = re.compile(
     r"^dict_(?P<key>[0-9a-f]+)\.(?P<digest>[0-9a-f]{12})\.npy$"
@@ -437,12 +435,12 @@ def check_cache(cache_or_dir) -> List[Diagnostic]:
     reports.
     """
     from ..core.cache import (
-        DictionaryCache,
         DictionaryStore,
-        _payload_checksum,
+        _LegacyBlobMismatch,
+        _read_legacy_blob,
     )
 
-    if isinstance(cache_or_dir, (DictionaryCache, DictionaryStore)):
+    if isinstance(cache_or_dir, DictionaryStore):
         directory = cache_or_dir.directory
     else:
         directory = os.fspath(cache_or_dir)
@@ -478,42 +476,15 @@ def check_cache(cache_or_dir) -> List[Diagnostic]:
                     obj,
                 ))
             continue
-        filename_key = name[len("dict_"):-len(".npz")]
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                meta = json.loads(str(archive["meta"]))
-                fmt = meta.get("format")
-                if fmt != _CACHE_FORMAT:
-                    findings.append(_diag(
-                        "S404",
-                        f"entry carries format {fmt!r}, expected "
-                        f"{_CACHE_FORMAT!r} (written by an incompatible "
-                        "revision)",
-                        obj,
-                    ))
-                    continue
-                if meta.get("key") != filename_key:
-                    findings.append(_diag(
-                        "S404",
-                        "entry key does not match its filename (orphaned "
-                        "by a key-schema change)",
-                        obj,
-                    ))
-                    continue
-                n_suspects = int(meta["n_suspects"])
-                m_crt = archive["m_crt"]
-                signatures = [
-                    archive[f"sig_{index:05d}"] for index in range(n_suspects)
-                ]
-            if _payload_checksum(m_crt, signatures) != meta["checksum"]:
-                findings.append(_diag(
-                    "S403", "payload checksum mismatch (bit rot or "
-                    "truncated write)", obj,
-                ))
+            _read_legacy_blob(path, name[len("dict_"):-len(".npz")])
+        except _LegacyBlobMismatch as error:
+            findings.append(_diag("S404", str(error), obj))
         except Exception as error:
             findings.append(_diag(
                 "S403",
-                f"entry is unreadable ({type(error).__name__}: {error})",
+                f"entry failed its integrity check "
+                f"({type(error).__name__}: {error})",
                 obj,
             ))
     for name in payload_names:

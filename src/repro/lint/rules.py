@@ -7,9 +7,7 @@ it checks and which engine produced it:
   :mod:`repro.lint.determinism`),
 * ``C2xx`` — circuit/netlist structure (model engine,
   :mod:`repro.lint.models`),
-* ``T3xx`` — timing / cell-library characterization (model engine;
-  ``T310`` is the one code-engine member — it keeps hierarchical replay
-  code behind the sanctioned flat-kernel bridge functions),
+* ``T3xx`` — timing / cell-library characterization (model engine),
 * ``S4xx`` — suspect sets, fault dictionaries and the on-disk cache
   (model engine; ``S406`` is the one code-engine member — it guards the
   sampling subsystem's RNG threading at the source level),
@@ -178,14 +176,8 @@ _CATALOG = (
         "Materialized delay matrix contains non-finite or negative "
         "samples.",
     ),
-    Rule(
-        "T310", "hier-bypasses-flat-bridge", Severity.ERROR, "code",
-        "Code under a hier/ package calls a flat-kernel replay entry "
-        "point directly instead of going through a sanctioned *flat* "
-        "bridge function; direct calls bypass the one audited seam the "
-        "hierarchical bit-identity proof (and REPRO_TIMING_KERNEL "
-        "dispatch) rests on.",
-    ),
+    # T310 (hier-bypasses-flat-bridge) is retired with the hierarchical
+    # build path; IDs are append-only, so it is never reused.
     # ------------------------------------- suspects / dictionary / cache
     Rule(
         "S401", "suspect-unknown-edge", Severity.ERROR, "model",

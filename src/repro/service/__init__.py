@@ -23,9 +23,9 @@ library:
   stable wire tags (append-only; pinned by lint rule R605).
 
 Dictionaries resolve through :func:`repro.core.cache.resolve_cache`;
-point ``REPRO_CACHE_DIR`` at a directory and set
-``REPRO_CACHE_FORMAT=store`` to share warm dictionaries across service
-processes as read-only mmapped pages.
+point ``REPRO_CACHE_DIR`` (or ``repro serve --cache-dir``) at a
+directory to share warm dictionaries across service processes as
+read-only mmapped pages.
 """
 
 from .engine import (

@@ -15,7 +15,7 @@ acceptance contract, enforced by ``tests/test_service.py``): the engine
 adds grouping and bookkeeping, never arithmetic.
 
 Dictionaries flow through :func:`repro.core.cache.resolve_cache`, so a
-``DictionaryStore`` (``REPRO_CACHE_FORMAT=store``) serves the signature
+configured cache directory (a ``DictionaryStore``) serves the signature
 stack as read-only mmapped pages shared across service processes.
 """
 
@@ -41,16 +41,9 @@ from ..timing import (
 )
 from ..core import diagnose_batch as _core_diagnose_batch
 from ..core import by_name
-from ..core.cache import (
-    DictionaryCache,
-    DictionaryStore,
-    dictionary_cache_key,
-    resolve_cache,
-)
+from ..core.cache import DictionaryStore, dictionary_cache_key, resolve_cache
 from ..core.dictionary import ProbabilisticFaultDictionary, build_dictionary
 from ..core.parallel import ParallelConfig
-from ..hier.partition import partition_circuit
-from ..hier.replay import resolve_hier
 from ..resilience import chaos
 from ..sampling import SizeDistribution, resolve_sampler
 from .errors import BadRequestError, UnknownWorkloadError, WorkloadReloadError
@@ -136,15 +129,13 @@ class DiagnosisService:
 
     def __init__(
         self,
-        cache: Optional[Union[DictionaryCache, DictionaryStore, str]] = None,
+        cache: Optional[Union[DictionaryStore, str]] = None,
         parallel: Optional[Union[ParallelConfig, str]] = None,
         sampler=None,
-        hier=None,
     ) -> None:
         self._cache = resolve_cache(cache)
         self._parallel = parallel
         self._sampler = sampler
-        self._hier = hier
         self._workloads: Dict[str, Workload] = {}
         self._locks: Dict[str, threading.Lock] = {}
         self._registry_lock = threading.Lock()
@@ -195,7 +186,6 @@ class DiagnosisService:
                         cache=self._cache,
                         sampler=self._sampler,
                         size_distribution=workload.size_distribution,
-                        hier=self._hier,
                     )
                     # Memoize the error stack and its live rows before
                     # publishing, so no query pays the assembly cost.
@@ -224,7 +214,7 @@ class DiagnosisService:
 
     @property
     def cache(self):
-        """The resolved dictionary cache/store (``None`` when disabled)."""
+        """The resolved dictionary store (``None`` when disabled)."""
         return self._cache
 
     # -- hot reload ------------------------------------------------------
@@ -241,13 +231,6 @@ class DiagnosisService:
         token = None
         if not sampler_config.is_plain:
             token = sampler_config.cache_token(workload.size_distribution)
-        hier_config = resolve_hier(self._hier)
-        hier_token = None
-        if hier_config.enabled:
-            graph = partition_circuit(
-                workload.timing.circuit, hier_config.n_blocks
-            )
-            hier_token = hier_config.cache_token(graph)
         return dictionary_cache_key(
             workload.timing,
             list(workload.patterns),
@@ -255,7 +238,6 @@ class DiagnosisService:
             workload.suspects,
             workload.size_samples,
             sampler_token=token,
-            hier_token=hier_token,
         )
 
     def reload(self, name: str) -> int:
@@ -274,10 +256,10 @@ class DiagnosisService:
         recorder = obs.get_recorder()
         with recorder.span("service.reload"):
             try:
-                if not isinstance(self._cache, DictionaryStore):
+                if self._cache is None:
                     raise ValueError(
                         "hot reload needs a DictionaryStore cache "
-                        f"(service cache is {type(self._cache).__name__})"
+                        "(none is configured)"
                     )
                 chaos.trip("service.store_load", index=workload.version)
                 key = self.cache_key(name)
@@ -296,7 +278,7 @@ class DiagnosisService:
                 payload = self._cache.load(key)
                 if payload is None:
                     raise ValueError(
-                        "store entry vanished or failed structural checks "
+                        "store entry vanished or failed its integrity checks "
                         "while mapping"
                     )
             except Exception as exc:
@@ -305,7 +287,6 @@ class DiagnosisService:
                     f"hot reload of workload {name!r} rejected (still "
                     f"serving generation {workload.version}): {exc}"
                 ) from exc
-            stack = payload.get("stack")
             dictionary = ProbabilisticFaultDictionary(
                 timing=workload.timing,
                 clk=workload.clk,
@@ -313,7 +294,7 @@ class DiagnosisService:
                 suspects=list(workload.suspects),
                 signatures=dict(zip(workload.suspects, payload["signatures"])),
                 size_samples=workload.size_samples,
-                _signature_stack=stack[1:] if stack is not None else None,
+                _signature_stack=payload["stack"][1:],
             )
             dictionary.live_rows()  # memoize before any query sees it
             with self._locks[name]:

@@ -45,7 +45,6 @@ the two kernels agree to the last bit, not just to a tolerance.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from collections.abc import Mapping
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -72,27 +71,13 @@ __all__ = [
     "simulate_transition_compiled",
     "resimulate_with_extra_compiled",
     "replay_chunk_compiled",
-    "SCHEDULE_CACHE_ENV",
-    "CONE_CACHE_ENV",
 ]
 
-#: Cap on cached pattern schedules per circuit (LRU, env-overridable).
-SCHEDULE_CACHE_ENV = "REPRO_KERNEL_SCHEDULE_CACHE"
-_SCHEDULE_CACHE_DEFAULT = 512
+#: Cap on cached pattern schedules per circuit (LRU).
+_SCHEDULE_CACHE_CAP = 512
 
 #: Cap on cached cone restrictions per pattern schedule (LRU).
-CONE_CACHE_ENV = "REPRO_KERNEL_CONE_CACHE"
-_CONE_CACHE_DEFAULT = 1024
-
-
-def _cache_cap(env: str, default: int) -> int:
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{env} must be a positive integer, got {value}")
-    return value
+_CONE_CACHE_CAP = 1024
 
 
 class StableTimes(Mapping):
@@ -413,7 +398,7 @@ class PatternSchedule:
     __slots__ = ("compiled", "val1", "val2", "transitions",
                  "n_net_transitions", "plans", "all_edges", "all_sources",
                  "group_out", "group_plan", "group_start", "group_len",
-                 "group_neg", "_edge_pos", "_cone_cache", "_cone_cap")
+                 "group_neg", "_edge_pos", "_cone_cache")
 
     def __init__(self, compiled, val1, val2, transitions, plans):
         self.compiled = compiled
@@ -463,7 +448,6 @@ class PatternSchedule:
             self.group_neg = np.empty(0, dtype=bool)
         self._edge_pos: Optional[Dict[int, int]] = None
         self._cone_cache: "OrderedDict" = OrderedDict()
-        self._cone_cap = _cache_cap(CONE_CACHE_ENV, _CONE_CACHE_DEFAULT)
 
     # ------------------------------------------------------------------
     @property
@@ -499,7 +483,7 @@ class PatternSchedule:
             affected if isinstance(affected, (set, frozenset)) else set(affected)
         )
         cache[key] = (affected, cone)
-        if len(cache) > self._cone_cap:
+        if len(cache) > _CONE_CACHE_CAP:
             cache.popitem(last=False)
         if recorder.enabled:
             recorder.count("kernel.cone_schedules")
@@ -647,7 +631,7 @@ class CompiledCircuit:
             return schedule
         schedule = self._build_schedule(v1, v2)
         cache[key] = schedule
-        if len(cache) > _cache_cap(SCHEDULE_CACHE_ENV, _SCHEDULE_CACHE_DEFAULT):
+        if len(cache) > _SCHEDULE_CACHE_CAP:
             cache.popitem(last=False)
         if recorder.enabled:
             recorder.count("kernel.schedules_built")

@@ -1,5 +1,9 @@
 """Shared fixtures: small circuits and timing models reused across tests."""
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -92,7 +96,6 @@ def _isolated_execution_env(monkeypatch):
     for variable in (
         "REPRO_CACHE_DIR",
         "REPRO_CACHE_MAX_ENTRIES",
-        "REPRO_CACHE_FORMAT",
         "REPRO_PARALLEL_BACKEND",
         "REPRO_PARALLEL_WORKERS",
         "REPRO_PARALLEL_CHUNK",
@@ -102,11 +105,7 @@ def _isolated_execution_env(monkeypatch):
         "REPRO_RETRY_NO_DEGRADE",
         "REPRO_CHAOS",
         "REPRO_TIMING_KERNEL",
-        "REPRO_KERNEL_SCHEDULE_CACHE",
-        "REPRO_KERNEL_CONE_CACHE",
         "REPRO_SAMPLER",
-        "REPRO_HIER",
-        "REPRO_HIER_BLOCKS",
     ):
         monkeypatch.delenv(variable, raising=False)
 
@@ -139,7 +138,43 @@ def _no_chaos_plan():
 
 @pytest.fixture()
 def tmp_cache(tmp_path):
-    """A per-test dictionary cache in a private tmp dir (xdist-safe)."""
-    from repro.core import DictionaryCache
+    """A per-test dictionary store in a private tmp dir (xdist-safe)."""
+    from repro.core import DictionaryStore
 
-    return DictionaryCache(tmp_path / "dict-cache")
+    return DictionaryStore(tmp_path / "dict-cache")
+
+
+def _legacy_checksum(arrays):
+    hasher = hashlib.sha256()
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        hasher.update(str(array.dtype).encode() + str(array.shape).encode())
+        hasher.update(array.tobytes())
+    return hasher.hexdigest()
+
+
+@pytest.fixture()
+def write_legacy_blob():
+    """Writer of retired-format ``dict_<key>.npz`` cache blobs.
+
+    Spelled out independently of the package so migration and audit
+    tests pin the on-disk layout old checkouts actually wrote: a JSON
+    ``meta`` string, ``m_crt`` and one ``sig_<index:05d>`` per suspect.
+    """
+
+    def write(directory, key, m_crt, signatures):
+        os.makedirs(directory, exist_ok=True)
+        meta = {
+            "format": "repro-dictionary-cache-v1",
+            "key": key,
+            "n_suspects": len(signatures),
+            "checksum": _legacy_checksum([m_crt] + list(signatures)),
+        }
+        arrays = {"meta": np.array(json.dumps(meta)), "m_crt": m_crt}
+        for index, signature in enumerate(signatures):
+            arrays[f"sig_{index:05d}"] = signature
+        path = os.path.join(str(directory), f"dict_{key}.npz")
+        np.savez(path, **arrays)
+        return path
+
+    return write

@@ -5,7 +5,7 @@ the key must cover *everything* the dictionary content depends on —
 circuit structure, the materialized delay matrix (which subsumes the RNG
 seed and sample count), pattern set, clock, suspect list and defect-size
 samples.  And because cache files live on disk across runs, load must
-treat any damaged file as a miss, never as data and never as a crash.
+treat any damaged entry as a miss, never as data and never as a crash.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.atpg import random_pattern_pairs
 from repro.circuits import GeneratorConfig, generate_circuit
 from repro.core import (
     STORE_FORMAT,
-    DictionaryCache,
     DictionaryStore,
     build_dictionary,
     circuit_fingerprint,
@@ -47,7 +46,7 @@ def case(small_timing):
 
 @pytest.fixture()
 def cache(tmp_path):
-    return DictionaryCache(tmp_path / "dict-cache")
+    return DictionaryStore(tmp_path / "dict-cache")
 
 
 class TestCacheHit:
@@ -57,12 +56,12 @@ class TestCacheHit:
             timing, patterns, clk, suspects, sizes,
             base_simulations=sims, cache=cache,
         )
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
         loaded = build_dictionary(
             timing, patterns, clk, suspects, sizes,
             base_simulations=sims, cache=cache,
         )
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
         assert np.array_equal(built.m_crt, loaded.m_crt)
         assert built.suspects == loaded.suspects
         for edge in suspects:
@@ -79,7 +78,7 @@ class TestCacheHit:
         loaded = build_dictionary(
             timing, patterns, clk, suspects, sizes, cache=cache
         )
-        assert cache.hits == 1
+        assert cache.stats.hits == 1
         for edge in suspects:
             assert edge in loaded.signatures
 
@@ -130,6 +129,16 @@ class TestCacheInvalidation:
         assert circuit_fingerprint(a) != circuit_fingerprint(b)
         assert circuit_fingerprint(a) == circuit_fingerprint(a)
 
+    def test_key_matches_the_pinned_digest(self, case):
+        """Keys are on-disk addresses: a key-schema change silently
+        orphans every existing store entry.  This digest was recorded
+        before the optional hierarchical-build key token was removed;
+        flat keys never hashed it, so they must not move."""
+        timing, patterns, clk, suspects, sizes, _sims = case
+        assert dictionary_cache_key(
+            timing, list(patterns), [clk], suspects, sizes
+        ) == "d115a8b2659f618805438b2d20fa53464cad35fbe871b3532e453324bdedc076"
+
     def test_fingerprints_deterministic(self, case):
         timing, patterns, _clk, _suspects, _sizes, _sims = case
         assert timing_fingerprint(timing) == timing_fingerprint(timing)
@@ -147,7 +156,7 @@ class TestCacheInvalidation:
             timing, patterns, clk * 0.9, suspects, sizes,
             base_simulations=sims, cache=cache,
         )
-        assert cache.hits == 0 and cache.misses == 2
+        assert cache.stats.hits == 0 and cache.stats.misses == 2
         reference = build_dictionary(
             timing, patterns, clk * 0.9, suspects, sizes, base_simulations=sims
         )
@@ -166,17 +175,21 @@ class TestCorruption:
             base_simulations=sims, cache=cache,
         )
         key = dictionary_cache_key(timing, list(patterns), [clk], suspects, sizes)
-        return key, cache.path_for(key)
+        manifest_path = cache.manifest_path_for(key)
+        with open(manifest_path) as handle:
+            payload = json.load(handle)["payload"]
+        return key, manifest_path, os.path.join(cache.directory, payload)
 
     def test_truncated_file_detected_and_rebuilt(self, case, cache):
-        key, path = self._store_one(case, cache)
-        with open(path, "rb") as handle:
+        key, path, payload_path = self._store_one(case, cache)
+        with open(payload_path, "rb") as handle:
             blob = handle.read()
-        with open(path, "wb") as handle:
+        with open(payload_path, "wb") as handle:
             handle.write(blob[: len(blob) // 2])
         assert cache.load(key) is None
-        assert cache.rejected == 1
+        assert cache.stats.rejected == 1
         assert not os.path.exists(path), "corrupt entry must be evicted"
+        assert not os.path.exists(payload_path)
         # rebuild goes through cleanly and re-stores
         timing, patterns, clk, suspects, sizes, sims = case
         rebuilt = build_dictionary(
@@ -187,25 +200,25 @@ class TestCorruption:
         assert len(rebuilt) == len(suspects)
 
     def test_garbage_file_is_a_miss_not_a_crash(self, case, cache):
-        key, path = self._store_one(case, cache)
-        with open(path, "wb") as handle:
-            handle.write(b"this is not an npz archive")
+        key, _path, payload_path = self._store_one(case, cache)
+        with open(payload_path, "wb") as handle:
+            handle.write(b"this is not an npy array")
         assert cache.load(key) is None
 
     def test_payload_tamper_detected_by_checksum(self, case, cache):
-        key, path = self._store_one(case, cache)
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["m_crt"] = arrays["m_crt"] + 1e-6  # silent bit-rot stand-in
-        np.savez(path, **arrays)
+        key, _path, payload_path = self._store_one(case, cache)
+        stack = np.load(payload_path)
+        stack[0] = stack[0] + 1e-6  # silent bit-rot stand-in
+        np.save(payload_path, stack)  # same shape and dtype: only the sum moves
         assert cache.load(key) is None
-        assert cache.rejected == 1
+        assert cache.stats.rejected == 1
 
     def test_clear_removes_entries(self, case, cache):
-        _key, path = self._store_one(case, cache)
+        _key, path, payload_path = self._store_one(case, cache)
         assert os.path.exists(path)
         assert cache.clear() == 1
         assert not os.path.exists(path)
+        assert not os.path.exists(payload_path)
 
 
 class TestCacheStats:
@@ -227,8 +240,7 @@ class TestCacheStats:
         assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
         assert stats.lookups == 2
         assert stats.hit_rate == 0.5
-        # the legacy counter properties stay in sync with the stats object
-        assert (cache.hits, cache.misses, cache.rejected) == (1, 1, 0)
+        assert stats.rejected == 0
 
     def test_rejection_counts_as_miss(self, case, cache):
         timing, patterns, clk, suspects, sizes, sims = case
@@ -237,7 +249,7 @@ class TestCacheStats:
             base_simulations=sims, cache=cache,
         )
         key = dictionary_cache_key(timing, list(patterns), [clk], suspects, sizes)
-        with open(cache.path_for(key), "wb") as handle:
+        with open(cache.manifest_path_for(key), "wb") as handle:
             handle.write(b"garbage")
         assert cache.load(key) is None
         assert cache.stats.rejected == 1
@@ -283,7 +295,7 @@ class TestResolution:
             timing, patterns, clk, suspects, sizes, base_simulations=sims
         )
         entries = [
-            name for name in os.listdir(cache_dir) if name.endswith(".npz")
+            name for name in os.listdir(cache_dir) if name.endswith(".json")
         ]
         assert len(entries) == 1
 
@@ -307,58 +319,58 @@ class TestResolution:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
         assert resolve_cache(None).max_entries == 3
         # an explicit instance keeps whatever cap it was built with
-        explicit = DictionaryCache(tmp_path / "own", max_entries=7)
+        explicit = DictionaryStore(tmp_path / "own", max_entries=7)
         assert resolve_cache(explicit).max_entries == 7
 
 
 def _entry(seed: int):
     """A small, deterministic cache payload distinct per seed."""
-    return np.full((2, 3), float(seed)), [np.full(4, float(seed))]
+    return np.full((2, 3), float(seed)), [np.full((2, 3), float(seed))]
 
 
 class TestLRUEviction:
     def _age(self, cache, key, seconds_ago):
         """Pin an entry's recency without sleeping (mtime-based LRU)."""
-        stamp = os.path.getmtime(cache.path_for(key)) - seconds_ago
-        os.utime(cache.path_for(key), (stamp, stamp))
+        stamp = os.path.getmtime(cache.manifest_path_for(key)) - seconds_ago
+        os.utime(cache.manifest_path_for(key), (stamp, stamp))
 
     def test_max_entries_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
-            DictionaryCache(tmp_path, max_entries=0)
+            DictionaryStore(tmp_path, max_entries=0)
 
     def test_oldest_entry_is_evicted_first(self, tmp_path):
-        cache = DictionaryCache(tmp_path, max_entries=2)
+        cache = DictionaryStore(tmp_path, max_entries=2)
         for index, key in enumerate(("aaa", "bbb")):
             cache.store(key, *_entry(index))
             self._age(cache, key, seconds_ago=100 - index)
         cache.store("ccc", *_entry(2))
         assert cache.stats.evictions == 1
-        assert not os.path.exists(cache.path_for("aaa"))
+        assert not os.path.exists(cache.manifest_path_for("aaa"))
         assert cache.load("bbb") is not None
         assert cache.load("ccc") is not None
 
     def test_hit_refreshes_recency(self, tmp_path):
-        cache = DictionaryCache(tmp_path, max_entries=2)
+        cache = DictionaryStore(tmp_path, max_entries=2)
         for index, key in enumerate(("aaa", "bbb")):
             cache.store(key, *_entry(index))
             self._age(cache, key, seconds_ago=100 - index)
         assert cache.load("aaa") is not None  # refreshes aaa's mtime
         cache.store("ccc", *_entry(2))
-        assert os.path.exists(cache.path_for("aaa")), "hit entry survives"
-        assert not os.path.exists(cache.path_for("bbb"))
+        assert os.path.exists(cache.manifest_path_for("aaa")), "hit entry survives"
+        assert not os.path.exists(cache.manifest_path_for("bbb"))
 
     def test_just_written_entry_is_never_the_victim(self, tmp_path):
-        cache = DictionaryCache(tmp_path, max_entries=1)
+        cache = DictionaryStore(tmp_path, max_entries=1)
         cache.store("aaa", *_entry(0))
         cache.store("bbb", *_entry(1))
-        assert not os.path.exists(cache.path_for("aaa"))
+        assert not os.path.exists(cache.manifest_path_for("aaa"))
         assert cache.load("bbb") is not None
         assert cache.stats.evictions == 1
 
     def test_evictions_feed_stats_and_obs_counters(self, tmp_path):
         from repro import obs
 
-        cache = DictionaryCache(tmp_path, max_entries=1)
+        cache = DictionaryStore(tmp_path, max_entries=1)
         recorder = obs.Recorder()
         with obs.use_recorder(recorder):
             for index, key in enumerate(("aaa", "bbb", "ccc")):
@@ -367,17 +379,17 @@ class TestLRUEviction:
         assert recorder.counter_value("cache.evicted") == 2
 
     def test_unbounded_cache_never_evicts(self, tmp_path):
-        cache = DictionaryCache(tmp_path)
+        cache = DictionaryStore(tmp_path)
         for index in range(5):
             cache.store(f"key{index}", *_entry(index))
         assert cache.stats.evictions == 0
-        assert len([n for n in os.listdir(tmp_path) if n.endswith(".npz")]) == 5
+        assert len(cache.keys()) == 5
 
 
 def _hammer_store(directory, key, n_rounds):
     """Concurrent-writer body: repeatedly store the same content under
     the same key, racing the other writers' atomic renames."""
-    cache = DictionaryCache(directory)
+    cache = DictionaryStore(directory)
     for _ in range(n_rounds):
         cache.store(key, *_entry(7))
 
@@ -387,8 +399,9 @@ class TestConcurrentWriters:
         """N processes atomically rewrite one key while we keep reading.
 
         The atomic-rename protocol (mkstemp in the target directory +
-        ``os.replace``) means a reader observes either the previous
-        complete entry or the new complete entry — never a torn file.
+        ``os.replace``, payload before manifest) means a reader observes
+        either the previous complete entry or the new complete entry —
+        never a torn file.
         """
         import multiprocessing
 
@@ -402,7 +415,7 @@ class TestConcurrentWriters:
         for process in writers:
             process.start()
         try:
-            reader = DictionaryCache(tmp_path)
+            reader = DictionaryStore(tmp_path)
             expected_m, expected_sigs = _entry(7)
             observed = 0
             while any(process.is_alive() for process in writers):
@@ -420,9 +433,11 @@ class TestConcurrentWriters:
         assert reader.stats.rejected == 0, "a torn or partial entry was read"
         for process in writers:
             assert process.exitcode == 0
-        # exactly one final entry and no temp debris survive the stampede
+        # exactly one final entry (manifest + payload) and no temp debris
+        # survive the stampede
         names = sorted(os.listdir(tmp_path))
-        assert names == [f"dict_{key}.npz"]
+        assert len(names) == 2 and names[1] == f"dict_{key}.json"
+        assert names[0].startswith(f"dict_{key}.") and names[0].endswith(".npy")
         final = reader.load(key)
         assert final is not None
         np.testing.assert_array_equal(final["m_crt"], expected_m)
@@ -442,25 +457,6 @@ def _store_entry(seed: int):
 
 
 class TestDictionaryStore:
-    def test_roundtrip_is_bit_identical_to_blob_cache(self, tmp_path):
-        """The mmap store and the pickle-blob cache agree to the last bit.
-
-        Same key, same content, two formats — every float a downstream
-        diagnosis reads must be identical whichever backend served it.
-        """
-        m_crt, signatures = _store_entry(11)
-        blob = DictionaryCache(tmp_path / "blob")
-        store = DictionaryStore(tmp_path / "store")
-        blob.store("kk", m_crt, signatures)
-        store.store("kk", m_crt, signatures)
-        from_blob = blob.load("kk")
-        from_store = store.load("kk")
-        assert from_blob is not None and from_store is not None
-        np.testing.assert_array_equal(from_blob["m_crt"], from_store["m_crt"])
-        assert len(from_blob["signatures"]) == len(from_store["signatures"])
-        for a, b in zip(from_blob["signatures"], from_store["signatures"]):
-            np.testing.assert_array_equal(a, b)
-
     def test_load_is_a_read_only_mmap_view(self, tmp_path):
         store = DictionaryStore(tmp_path)
         m_crt, signatures = _store_entry(3)
@@ -474,10 +470,21 @@ class TestDictionaryStore:
         np.testing.assert_array_equal(loaded["stack"][0], m_crt)
 
     def test_verify_checks_the_full_checksum(self, tmp_path):
+        """Every load verifies the payload checksum: a flipped bit that
+        keeps the shape and dtype intact is still rejected."""
         store = DictionaryStore(tmp_path)
         store.store("kk", *_store_entry(5))
-        assert store.load("kk", verify=True) is not None
+        assert store.load("kk") is not None
         assert store.stats.rejected == 0
+        manifest = json.load(open(store.manifest_path_for("kk")))
+        payload_path = os.path.join(str(tmp_path), manifest["payload"])
+        with open(payload_path, "r+b") as handle:
+            handle.seek(-1, os.SEEK_END)
+            last = handle.read(1)
+            handle.seek(-1, os.SEEK_END)
+            handle.write(bytes([last[0] ^ 1]))
+        assert store.load("kk") is None
+        assert store.stats.rejected == 1
 
     def test_missing_payload_is_a_benign_miss_not_corruption(self, tmp_path):
         """A manifest whose payload vanished (concurrent rewrite retired
@@ -549,34 +556,39 @@ class TestDictionaryStore:
         store = DictionaryStore(tmp_path, max_entries=2)
         for index, key in enumerate(("aaa", "bbb", "ccc")):
             store.store(key, *_store_entry(index))
-            stamp = os.path.getmtime(store.path_for(key)) - (100 - index)
-            os.utime(store.path_for(key), (stamp, stamp))
+            stamp = os.path.getmtime(store.manifest_path_for(key)) - (100 - index)
+            os.utime(store.manifest_path_for(key), (stamp, stamp))
         assert store.stats.evictions == 1
         assert store.keys() == ["bbb", "ccc"]
         assert store.clear() == 2
         assert os.listdir(tmp_path) == []
 
-    def test_migrate_legacy_blobs(self, tmp_path):
+    def test_migrate_legacy_blobs(self, tmp_path, write_legacy_blob):
         """Blob → store migration carries every readable entry over
         bit-exactly, skips corrupt blobs, and never rewrites an entry
         the store already has."""
-        blob = DictionaryCache(tmp_path / "blob")
+        legacy = tmp_path / "blob"
         for index, key in enumerate(("aaa", "bbb", "ccc")):
-            blob.store(key, *_store_entry(index))
+            write_legacy_blob(legacy, key, *_store_entry(index))
         # corrupt one blob; it must be skipped, not crash the migration
-        with open(blob.path_for("ccc"), "wb") as handle:
+        with open(legacy / "dict_ccc.npz", "wb") as handle:
             handle.write(b"not a zip")
         store = DictionaryStore(tmp_path / "store")
         pre_m, pre_sigs = _store_entry(99)
         store.store("aaa", pre_m, pre_sigs)  # already present: untouched
-        assert store.migrate_legacy(blob) == 1  # only "bbb"
+        assert store.migrate_legacy(legacy) == 1  # only "bbb"
         np.testing.assert_array_equal(store.load("aaa")["m_crt"], pre_m)
         migrated = store.load("bbb")
-        reference = blob.load("bbb")
-        np.testing.assert_array_equal(migrated["m_crt"], reference["m_crt"])
-        for a, b in zip(migrated["signatures"], reference["signatures"]):
+        reference_m, reference_sigs = _store_entry(1)
+        np.testing.assert_array_equal(migrated["m_crt"], reference_m)
+        assert len(migrated["signatures"]) == len(reference_sigs)
+        for a, b in zip(migrated["signatures"], reference_sigs):
             np.testing.assert_array_equal(a, b)
         assert store.load("ccc") is None  # corrupt blob was skipped
+        # the legacy directory is read, never modified
+        assert sorted(os.listdir(legacy)) == [
+            "dict_aaa.npz", "dict_bbb.npz", "dict_ccc.npz",
+        ]
 
     def test_build_dictionary_accepts_a_store(self, case, tmp_path):
         """The builder treats the store as a drop-in cache backend, and a
@@ -634,27 +646,17 @@ class TestStoreManifestValidation:
 
 
 class TestStoreResolution:
-    def test_format_env_selects_the_store(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_FORMAT", "store")
+    def test_paths_resolve_to_a_store(self, monkeypatch, tmp_path):
+        assert isinstance(resolve_cache(tmp_path / "explicit"), DictionaryStore)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
         assert isinstance(resolve_cache(None), DictionaryStore)
-        assert isinstance(resolve_cache(tmp_path / "explicit"), DictionaryStore)
-
-    def test_default_format_is_the_blob_cache(self, tmp_path):
-        assert isinstance(resolve_cache(tmp_path / "d"), DictionaryCache)
-
-    def test_unknown_format_is_an_error(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_FORMAT", "parquet")
-        with pytest.raises(ValueError, match="parquet"):
-            resolve_cache(tmp_path / "d")
 
     def test_explicit_store_instance_wins_over_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_FORMAT", "blob")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
         store = DictionaryStore(tmp_path)
         assert resolve_cache(store) is store
 
     def test_max_entries_env_applies_to_stores(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_FORMAT", "store")
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "5")
         assert resolve_cache(tmp_path / "capped").max_entries == 5
 
@@ -692,7 +694,7 @@ class TestStoreConcurrentReaders:
             reader = DictionaryStore(tmp_path)
             expected_m, expected_sigs = _store_entry(7)
             while any(process.is_alive() for process in writers):
-                loaded = reader.load(key, verify=True)
+                loaded = reader.load(key)
                 if loaded is None:
                     continue  # pre-first-publish, or a retired payload
                 np.testing.assert_array_equal(loaded["m_crt"], expected_m)
@@ -710,6 +712,6 @@ class TestStoreConcurrentReaders:
         assert len(names) == 2
         assert f"dict_{key}.json" in names
         assert not any(n.startswith(".tmp_store_") for n in names)
-        final = reader.load(key, verify=True)
+        final = reader.load(key)
         assert final is not None
         np.testing.assert_array_equal(final["m_crt"], expected_m)

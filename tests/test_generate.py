@@ -124,3 +124,29 @@ class TestHelpers:
 
     def test_signal_probability_not(self):
         assert _signal_probability(GateType.NOT, [0.3]) == pytest.approx(0.7)
+
+
+class TestS38417Preset:
+    def test_preset_shape_and_pinned_seed(self):
+        from repro.circuits import s38417_profile_config
+        from repro.circuits.generate import S38417_PRESET_SEED
+
+        config = s38417_profile_config()
+        assert config.seed == S38417_PRESET_SEED
+        assert config.n_inputs == 28 + 1636
+        assert config.n_outputs == 106 + 1636
+        assert config.n_gates > 20_000
+
+    @pytest.mark.slow
+    def test_full_size_generation_smoke(self):
+        from repro.circuits import s38417_profile_config
+        from repro.core.cache import circuit_fingerprint
+
+        first = generate_circuit(s38417_profile_config())
+        assert first.name == "s38417"
+        assert len(first.inputs) == 1664
+        assert len(first.outputs) == 1742
+        assert len(first.topological_order) - len(first.inputs) > 20_000
+        # deterministic: regeneration is the identical netlist
+        second = generate_circuit(s38417_profile_config())
+        assert circuit_fingerprint(first) == circuit_fingerprint(second)

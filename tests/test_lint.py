@@ -25,7 +25,7 @@ from repro.circuits.bench_parser import BenchParseError, parse_bench
 from repro.circuits.benchmarks import load_benchmark
 from repro.circuits.library import GateType
 from repro.circuits.netlist import Circuit, Edge
-from repro.core.cache import DictionaryCache
+from repro.core.cache import DictionaryStore
 from repro.lint import (
     LintReport,
     REPORT_SCHEMA,
@@ -136,8 +136,7 @@ def test_compiled_replay_flagged_outside_timing_and_tests():
         "rows = replay_chunk(bases, requests, sizes)\n"
     )
     assert lint_source(dispatching, path="src/repro/core/dictionary.py") == []
-    findings = lint_source(dispatching, path="src/repro/hier/replay.py")
-    assert rule_counts(findings) == {"T310": 1}
+    assert lint_source(dispatching, path="src/repro/service/engine.py") == []
 
 
 def test_sampling_fixture_flags_unthreaded_generators():
@@ -155,59 +154,6 @@ def test_sampler_rng_rule_only_applies_under_sampling_dirs():
     assert lint_source(source, path="src/repro/core/helper.py") == []
     findings = lint_source(source, path="src/repro/sampling/estimator.py")
     assert rule_counts(findings) == {"S406": 1}
-
-
-def test_hier_flat_kernel_call_flagged_outside_bridge():
-    source = (
-        "from ..timing.dynamic import resimulate_with_extra\n"
-        "\n"
-        "def replay_entry(base, extra, cone):\n"
-        "    return resimulate_with_extra(base, extra, affected=cone)\n"
-    )
-    findings = lint_source(source, path="src/repro/hier/replay.py")
-    assert rule_counts(findings) == {"T310": 1}
-    assert findings[0].severity is Severity.ERROR
-    assert "_flat_replay" in findings[0].message
-
-
-def test_hier_flat_bridge_function_is_sanctioned():
-    source = (
-        "from ..timing.dynamic import resimulate_with_extra\n"
-        "\n"
-        "def _flat_replay(base, extra, cone):\n"
-        "    return resimulate_with_extra(base, extra, affected=cone)\n"
-    )
-    assert lint_source(source, path="src/repro/hier/replay.py") == []
-
-
-def test_hier_rule_only_applies_under_hier_dirs():
-    source = (
-        "from ..timing.dynamic import resimulate_with_extra\n"
-        "\n"
-        "def run(base, extra):\n"
-        "    return resimulate_with_extra(base, extra)\n"
-    )
-    assert lint_source(source, path="src/repro/core/dictionary.py") == []
-
-
-def test_hier_rule_covers_kernel_variants_and_module_level():
-    source = (
-        "from ..timing import replay_sizes_compiled\n"
-        "x = replay_sizes_compiled(base, 1, [2.0], cone, nets)\n"
-    )
-    findings = lint_source(source, path="src/repro/hier/extract.py")
-    assert rule_counts(findings) == {"T310": 1}
-
-
-def test_hier_rule_inline_allow():
-    source = (
-        "from ..timing.dynamic import replay_sizes\n"
-        "\n"
-        "def probe(base, cone):  # oracle comparison\n"
-        "    return replay_sizes(base, 0, [1.0], cone, [])"
-        "  # repro-lint: allow[T310]\n"
-    )
-    assert lint_source(source, path="src/repro/hier/replay.py") == []
 
 
 def test_reference_kernel_allowed_in_timing_and_tests():
@@ -398,12 +344,11 @@ def test_suspect_set_s401_s402():
     assert check_suspects(circuit, list(circuit.edges)) == []
 
 
-def test_cache_audit_s403_s404_s405(tmp_path):
-    cache = DictionaryCache(tmp_path)
+def test_cache_audit_s403_s404_s405(tmp_path, write_legacy_blob):
     m_crt = np.zeros((4, 2))
     signatures = [np.ones((4, 2))]
-    cache.store("good" * 16, m_crt, signatures)
-    assert check_cache(cache) == []
+    stored = write_legacy_blob(tmp_path, "good" * 16, m_crt, signatures)
+    assert check_cache(DictionaryStore(tmp_path)) == []
     assert check_cache(str(tmp_path)) == []
 
     # S405: leftover writer temp file + foreign file
@@ -412,7 +357,6 @@ def test_cache_audit_s403_s404_s405(tmp_path):
     # S403: truncated/garbage entry
     (tmp_path / "dict_corrupt.npz").write_bytes(b"\x00\x01\x02")
     # S404: valid payload filed under the wrong key
-    stored = cache.path_for("good" * 16)
     os.rename(stored, str(tmp_path / "dict_renamed.npz"))
     findings = check_cache(str(tmp_path))
     counts = rule_counts(findings)

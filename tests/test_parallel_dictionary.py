@@ -338,14 +338,6 @@ class TestWorkAwareDispatch:
         with pytest.raises(_PoolConstructed):
             map_chunked(_double_chunk, 3, 9, config, work_per_item=1)
 
-    def test_explicit_chunks_reach_the_pool(self, no_pool):
-        config = ParallelConfig(backend="process", n_workers=2)
-        with pytest.raises(_PoolConstructed):
-            map_chunked(
-                _double_chunk, 3, 9, config, work_per_item=1,
-                chunks=[range(9)],
-            )
-
     def test_hintless_restore_probe_reaches_the_pool(self, no_pool):
         from repro import obs
         from repro.service import DiagnosisService

@@ -24,7 +24,7 @@ import pytest
 
 from repro import obs
 from repro.circuits.benchmarks import load_benchmark
-from repro.core.cache import DictionaryCache
+from repro.core.cache import DictionaryStore
 from repro.core.evaluation import EvaluationConfig, evaluate_circuit
 from repro.core.parallel import ParallelConfig, map_chunked
 from repro.experiments.table1 import run_table1_circuit
@@ -578,11 +578,11 @@ class TestTable1Resume:
 # ======================================================================
 class TestCacheChaos:
     def _seed_entry(self, cache):
-        cache.store("k" * 8, np.ones((2, 2)), [np.ones(2)])
-        return cache.path_for("k" * 8)
+        cache.store("k" * 8, np.ones((2, 2)), [np.ones((2, 2))])
+        return cache.manifest_path_for("k" * 8)
 
     def test_corrupted_entry_recovers_as_miss(self, tmp_path):
-        cache = DictionaryCache(tmp_path)
+        cache = DictionaryStore(tmp_path)
         path = self._seed_entry(cache)
         corrupt_file(path, "garbage")
         assert cache.load("k" * 8) is None
@@ -590,21 +590,21 @@ class TestCacheChaos:
         assert not os.path.exists(path), "damaged entry evicted for rebuild"
 
     def test_injected_load_failure_recovers_as_miss(self, tmp_path):
-        cache = DictionaryCache(tmp_path)
+        cache = DictionaryStore(tmp_path)
         self._seed_entry(cache)
         with chaos_active(ChaosPlan([ChaosEvent("cache.load", "transient")])):
             assert cache.load("k" * 8) is None
         assert cache.stats.rejected == 1
 
     def test_injected_store_failure_does_not_crash(self, tmp_path):
-        cache = DictionaryCache(tmp_path)
+        cache = DictionaryStore(tmp_path)
         with chaos_active(ChaosPlan([ChaosEvent("cache.store", "transient")])):
-            assert cache.store("k" * 8, np.ones((2, 2)), [np.ones(2)]) is None
+            assert cache.store("k" * 8, np.ones((2, 2)), [np.ones((2, 2))]) is None
         assert cache.stats.store_failures == 1
         assert cache.stats.stores == 0
         # no temp debris from the failed writer
         assert not any(
-            name.startswith(".tmp_dict_") for name in os.listdir(tmp_path)
+            name.startswith(".tmp_store_") for name in os.listdir(tmp_path)
         )
 
 
